@@ -17,8 +17,10 @@ The series/asymptotic switch sits at 14 because the optimally truncated
 asymptotic series bottoms out near 5e-13 at x = 12; at 14 both branches
 agree to ~2e-14 (covered by an overlap test).
 
-Zero finding uses McMahon's expansion for initial guesses, polished by
-bisection plus Newton.  All functions are pure; the zero cache only grows.
+Zero finding is one array pass: Jt_nu is scanned on a grid finer than the
+smallest zero gap, and all sign changes are refined together by Illinois
+false position, which needs no J_(nu+1) and so works up to the order
+ceiling.  All functions are pure; the zero cache only grows.
 """
 
 from __future__ import annotations
@@ -86,12 +88,14 @@ def _jtilde_series(nu, x):
     """
     xl = np.asarray(x, dtype=np.longdouble)
     x2 = xl * xl
-    term = np.full_like(xl, np.longdouble(jtilde_at_zero(nu)))
+    # the stop test scales with Jt_nu(0) = max |Jt_nu|, far below 1 at high orders
+    peak = np.longdouble(jtilde_at_zero(nu))
+    term = np.full_like(xl, peak)
     total = term.copy()
     for m in range(1, 120):
         term = term * (-x2 / np.longdouble(4.0 * m * (m + nu)))
         total += term
-        if np.all(np.abs(term) <= 1e-22 * (1.0 + np.abs(total))):
+        if np.all(np.abs(term) <= 1e-22 * (peak + np.abs(total))):
             break
     return np.asarray(total, dtype=float)
 
@@ -271,63 +275,50 @@ def bessel_j(nu, x):
 _zero_cache = {}
 _zero_lock = threading.Lock()
 
-
-def _mcmahon_guess(nu, k):
-    beta = (k + 0.5 * nu - 0.25) * math.pi
-    mu = 4.0 * nu * nu
-    guess = beta - (mu - 1.0) / (8.0 * beta) \
-        - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
-    if k == 1 and nu >= 2.0:
-        # McMahon is poor for the first zero at larger orders
-        guess = max(guess, nu + 1.8557571 * nu ** (1.0 / 3.0))
-    return guess
+# Spacing of the scan grid.  It is below j_(nu,1) >= pi/2 and below the
+# smallest gap between consecutive zeros (about 3.1, at nu = 0), so each grid
+# interval holds at most one zero and every zero shows as one sign change.
+_SCAN_STEP = 1.0
+_REFINE_ITERATIONS = 100
+_ROOT_RTOL = 4e-16  # bracket width, relative, at which a root is done
 
 
-def _polish_zero(order, guess, lo_bound, index):
-    """Bracket a sign change around the guess, then bisect + Newton."""
-    j = lambda t: bessel_j(order, t)
-    half = 0.5
-    a = max(lo_bound, guess - half)
-    b = guess + half
-    fa, fb = j(a), j(b)
-    grow = 0
-    while fa * fb > 0:
-        a = max(lo_bound, a - half)
-        b += half
-        fa, fb = j(a), j(b)
-        grow += 1
-        if grow > 12:
-            raise ZeroFindingError(index, "could not bracket a sign change")
-    for _ in range(30):
-        mid = 0.5 * (a + b)
-        fm = j(mid)
-        if fa * fm <= 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-        if b - a < 1e-6 * b:
+def _sign_change_brackets(order, start, count):
+    """Grid intervals from ``start`` on where Jt_nu changes sign, in order.
+
+    The grid runs past (count + nu/2 + 1/4) pi, which bounds j_(nu,count)
+    from above for every supported order.
+    """
+    stop = (count + 0.5 * order.nu + 0.25) * math.pi + _SCAN_STEP
+    xs = start + _SCAN_STEP * np.arange(math.ceil((stop - start) / _SCAN_STEP) + 1)
+    fs = bessel_j_tilde(order, xs)
+    i = np.flatnonzero(np.signbit(fs[:-1]) != np.signbit(fs[1:]))
+    return xs[i], xs[i + 1], fs[i], fs[i + 1]
+
+
+def _refine_roots(order, a, b, fa, fb):
+    """Roots of Jt_nu in the brackets between a and b, all refined together.
+
+    Illinois false position: b is the newest point, and an end kept for a
+    second step has its value halved so that the iteration cannot stall
+    against it.  Each step lands at least half the stopping width inside
+    the bracket, so a step onto the root closes the bracket on the next.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    for _ in range(_REFINE_ITERATIONS):
+        live = np.flatnonzero(np.abs(b - a) > _ROOT_RTOL * np.maximum(a, b))
+        if live.size == 0:
             break
-    root = 0.5 * (a + b)
-    nu = order.nu
-    for _ in range(60):
-        f = j(root)
-        fp = (nu / root) * f - bessel_j(Order(order.twice_nu + 2), root)
-        if fp == 0:
-            break
-        step = f / fp
-        nxt = root - step
-        if not (a - 1e-9 <= nxt <= b + 1e-9):
-            nxt = 0.5 * (a + b)  # fall back to the bracket midpoint
-        if j(a) * j(nxt) <= 0:
-            b = nxt
-        else:
-            a = nxt
-        root = nxt
-        if abs(step) < 1e-15 * root:
-            break
-    if abs(j(root)) > 1e-12:
-        raise ZeroFindingError(index, f"residual {j(root):.2e} above 1e-12")
-    return root
+        a0, b0, fa0, fb0 = a[live], b[live], fa[live], fb[live]
+        margin = 0.5 * _ROOT_RTOL * np.maximum(a0, b0)
+        c = np.clip(b0 - fb0 * (b0 - a0) / (fb0 - fa0),
+                    np.minimum(a0, b0) + margin, np.maximum(a0, b0) - margin)
+        fc = bessel_j_tilde(order, c)
+        flip = np.signbit(fc) != np.signbit(fb0)
+        a[live] = np.where(flip, b0, a0)
+        fa[live] = np.where(flip, fb0, 0.5 * fa0)
+        b[live], fb[live] = c, fc
+    return 0.5 * (a + b)
 
 
 def bessel_zeros(nu, count):
@@ -339,14 +330,24 @@ def bessel_zeros(nu, count):
         known = _zero_cache.get(order.twice_nu, [])
         if len(known) >= count:
             return list(known[:count])
-        zeros = list(known)
-        prev = zeros[-1] if zeros else 0.0
-        for k in range(len(zeros) + 1, count + 1):
-            guess = _mcmahon_guess(order.nu, k)
-            root = _polish_zero(order, guess, prev + 1e-8, k)
-            if root <= prev:
-                raise ZeroFindingError(k, "zeros not increasing")
-            zeros.append(root)
-            prev = root
+        missing = count - len(known)
+        prev = known[-1] if known else 0.0
+        # the next zero lies more than one grid step beyond the last known one
+        start = prev + _SCAN_STEP if known else 0.0
+        brackets = [v[:missing] for v in _sign_change_brackets(order, start, count)]
+        if brackets[0].size < missing:
+            raise ZeroFindingError(len(known) + brackets[0].size + 1,
+                                   "could not bracket a sign change")
+        roots = _refine_roots(order, *brackets)
+        steps = np.diff(np.concatenate(([prev], roots)))
+        if np.any(steps <= 0):
+            raise ZeroFindingError(len(known) + int(np.argmax(steps <= 0)) + 1,
+                                   "zeros not increasing")
+        residual = np.abs(bessel_j(order, roots))
+        if np.any(residual > 1e-12):
+            bad = int(np.argmax(residual > 1e-12))
+            raise ZeroFindingError(len(known) + bad + 1,
+                                   f"residual {residual[bad]:.2e} above 1e-12")
+        zeros = known + roots.tolist()
         _zero_cache[order.twice_nu] = zeros
-        return list(zeros[:count])
+        return list(zeros)

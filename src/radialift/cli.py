@@ -13,15 +13,13 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bessel, kernels, lift as _lift, transform as _transform
-from .errors import (BranchError, ConvergenceError, EngineError,
-                     ExpressionSyntaxError, IntegrabilityError, ParityError,
-                     PoisonedEvaluationError)
+from .errors import (ConvergenceError, EngineError, PoisonedEvaluationError,
+                     ZeroFindingError)
 from .quadrature import QuadratureSpec
 
 EXIT_OK = 0
@@ -84,14 +82,6 @@ def _emit(records, fmt, out_path):
         sys.stdout.write(text)
 
 
-def _evaluate_grid(grid, worker):
-    """Evaluate grid points concurrently; records come back in grid order."""
-    if len(grid) == 1:
-        return [worker(float(grid[0]))]
-    with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-        return list(pool.map(worker, [float(r) for r in grid]))
-
-
 def _parse_complex(text):
     text = text.strip().replace("i", "j")
     try:
@@ -115,7 +105,7 @@ def cmd_transform(args):
         return OutputRecord(r, value.real, value.imag, res.error_estimate,
                             res.method), res.converged
 
-    pairs = _evaluate_grid(grid, worker)
+    pairs = [worker(float(r)) for r in grid]
     records = [rec for rec, _ in pairs]
     _emit(records, args.format, args.out)
     return EXIT_OK if all(ok for _, ok in pairs) else EXIT_PARTIAL
@@ -141,10 +131,9 @@ def cmd_lift(args):
                                       rho, engine)
         value = complex(res.value)
         return OutputRecord(rho, value.real, value.imag, res.error_estimate,
-                            method), True
+                            method)
 
-    pairs = _evaluate_grid(grid, worker)
-    _emit([rec for rec, _ in pairs], args.format, args.out)
+    _emit([worker(float(rho)) for rho in grid], args.format, args.out)
     return EXIT_OK
 
 
@@ -164,10 +153,9 @@ def cmd_kernel(args):
 
     def worker(r):
         value = profile.evaluate(r)
-        return OutputRecord(r, value.real, value.imag, 0.0, "catalog"), True
+        return OutputRecord(r, value.real, value.imag, 0.0, "catalog")
 
-    pairs = _evaluate_grid(grid, worker)
-    _emit([rec for rec, _ in pairs], args.format, args.out)
+    _emit([worker(float(r)) for r in grid], args.format, args.out)
     return EXIT_OK
 
 
@@ -373,11 +361,8 @@ def main(argv=None):
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except ExpressionSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (IntegrabilityError, ParityError, BranchError, ConvergenceError,
-            EngineError, PoisonedEvaluationError, ValueError) as exc:
+    except (ValueError, ArithmeticError, ConvergenceError, EngineError,
+            PoisonedEvaluationError, ZeroFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import expr as _expr
 from .bessel import Order, bessel_j, jtilde_at_zero
@@ -118,6 +117,7 @@ class SampledProfile(RadialProfile):
         self.grid = grid
         self.samples = samples
         self.engine = engine
+        from scipy.interpolate import CubicSpline  # slow import, loaded on use
         # not-a-knot keeps the short extrapolation down to t=0 at spline
         # accuracy; a natural boundary would force f''=0 there
         self._spline = CubicSpline(grid, samples, bc_type="not-a-knot")
@@ -250,7 +250,9 @@ def integrability_check(f, n, r=1.0):
     return IntegrabilityReport(True, abs(near.value), total + tail_extra, ratio)
 
 
-def _gate(profile, n, r, force):
+def _gate(profile, n, force):
+    """Integrability report for dimension n, probed once per profile at r = 1
+    so that the verdict does not depend on which radius comes first."""
     cache = getattr(profile, "_gate_cache", None)
     if cache is None:
         cache = {}
@@ -260,7 +262,7 @@ def _gate(profile, n, r, force):
             pass
     report = cache.get(n)
     if report is None:
-        report = integrability_check(profile, n, r)
+        report = integrability_check(profile, n)
         cache[n] = report
     if not report.passed:
         if not force:
@@ -302,16 +304,14 @@ def radial_fourier_result(f, n, r, spec=None, force=False):
     order = Order.for_dimension(n)
     prefactor = (2.0 * math.pi) ** (n / 2.0)
 
+    _gate(profile, n, force)
     if r == 0.0:
-        _gate(profile, n, 1.0, force)
         moment = integrate_halfline_decaying(
             lambda t: profile.values(t) * t ** (n - 1), spec)
         value = prefactor * jtilde_at_zero(order) * complex(moment.value)
         quad = QuadratureResult(value, prefactor * moment.error_estimate,
                                 moment.evaluations, moment.converged)
         return _finalize(profile, quad, "direct")
-
-    _gate(profile, n, r, force)
 
     def g(t):
         return profile.values(t) * np.asarray(t, dtype=float) ** (n - 1)

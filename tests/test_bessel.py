@@ -61,7 +61,7 @@ def test_accuracy_against_scipy_grid():
     rng = np.random.default_rng(42)
     xs = np.concatenate([rng.uniform(1e-3, 1.0, 50), rng.uniform(1.0, 20.0, 80),
                          rng.uniform(20.0, 200.0, 50), rng.uniform(200.0, 1e4, 40)])
-    for twice_nu in range(-1, 11):
+    for twice_nu in range(-1, 121):
         order = Order(twice_nu)
         err = np.max(np.abs(bessel_j(order, xs) - sp.jv(order.nu, xs)))
         assert err < 1e-12, (twice_nu, err)
@@ -135,16 +135,27 @@ def test_first_zero_of_j0():
     assert abs(z - 2.404825557695773) < 1e-10
 
 
+def _reference_zeros(order, count):
+    if not order.is_half_integer:
+        return sp.jn_zeros(int(order.nu), count)
+    if order.twice_nu == -1:  # J_(-1/2)(x) is a multiple of cos(x)
+        return math.pi * (np.arange(1, count + 1) - 0.5)
+    return np.array([float(mpmath.besseljzero(order.nu, k))
+                     for k in range(1, count + 1)])
+
+
 def test_zero_residuals_and_ordering():
-    for twice_nu in (-1, 0, 1, 2, 3, 5, 7, 9):
+    # 63 and 64 (n = 65, 66) and 118..120 (n = 120..122, up to the ceiling)
+    # cover the orders where the first zero lies far out and the series
+    # regime meets the recurrence
+    for twice_nu in (-1, 0, 1, 2, 3, 5, 7, 9, 63, 64, 118, 119, 120):
         order = Order(twice_nu)
         zs = bessel_zeros(order, 25)
         assert all(b > a for a, b in zip(zs, zs[1:]))
         assert all(z > 0 for z in zs)
         assert max(abs(bessel_j(order, z)) for z in zs) <= 1e-12
-        ref = sp.jn_zeros(order.nu, 25) if not order.is_half_integer else None
-        if ref is not None:
-            assert np.max(np.abs(np.array(zs) - ref)) < 1e-9
+        ref = _reference_zeros(order, 25)
+        assert np.max(np.abs(np.array(zs) - ref) / ref) < 1e-12, twice_nu
 
 
 def test_zeros_count_validation():

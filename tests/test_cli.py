@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from radialift import quadrature
 from radialift.cli import (EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main, parse_grid)
+from radialift.errors import ZeroFindingError
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +83,35 @@ def test_transform_partial_convergence_exit(capsys):
                            "--max-oscillations", "2")
     assert code == EXIT_PARTIAL
     assert read_csv(out)[0]["error_estimate"] > 0
+
+
+def test_transform_up_to_the_order_ceiling(capsys):
+    # n = 65 once failed in zero finding and n = 122 asked for an order past
+    # the ceiling; accuracy at such n is not asserted here
+    for dim in ("65", "122"):
+        code, out, err = run_cli(capsys, "transform", "--profile",
+                                 "exp(-pi*s^2)", "--dim", dim,
+                                 "--grid", "0.5:1:2")
+        assert code in (EXIT_OK, EXIT_PARTIAL), err
+        assert len(read_csv(out)) == 2
+
+
+def test_transform_zero_finding_error_exits_hard(capsys, monkeypatch):
+    def failing_zeros(order, count):
+        raise ZeroFindingError(1, "could not bracket a sign change")
+
+    monkeypatch.setattr(quadrature, "bessel_zeros", failing_zeros)
+    code, _, err = run_cli(capsys, "transform", "--profile", "exp(-pi*s^2)",
+                           "--dim", "65", "--grid", "1:1:1")
+    assert code == EXIT_ERROR
+    assert err.startswith("error: zero #1")
+
+
+def test_lift_overflow_exits_hard(capsys):
+    code, _, err = run_cli(capsys, "lift", "--profile", "2/(1+4*pi^2*s^2)",
+                           "--from", "1", "--to", "15", "--grid", "5:5:1")
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ")
 
 
 def test_lift_sech(capsys):

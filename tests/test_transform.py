@@ -1,6 +1,8 @@
 """Radial transform, Hankel relation, integrability gate, spherical means."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -114,6 +116,22 @@ def test_gate_blocks_and_force_overrides():
         res = radial_fourier_result(profile_from_text("1/(1+s)"), 3, 1.0,
                                     force=True)
     assert res.evaluations > 0  # ran despite the failed gate
+
+
+def test_gate_verdict_is_independent_of_the_first_radius():
+    # the near piece of the probe depends on r; the cached verdict must not
+    for radii in ((1e-4, 1.0), (1.0, 1e-4)):
+        prof = profile_from_text("1/(1+s^2)")
+        for r in radii:
+            with pytest.raises(IntegrabilityError):
+                radial_fourier_result(prof, 3, r)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, radialift; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120)
+    assert proc.returncode == 0
 
 
 def test_sampled_profile_validation_and_zero_extension():
