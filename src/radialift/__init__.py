@@ -21,7 +21,8 @@ from .quadrature import (QuadratureResult, QuadratureSpec,
 from .transform import (AnalyticProfile, CallableProfile, RadialProfile,
                         SampledProfile, hankel, hankel_fourier_relation,
                         integrability_check, profile_from_text, radial_fourier,
-                        radial_fourier_result, sphere_surface, spherical_mean)
+                        radial_fourier_grid, radial_fourier_result,
+                        sphere_surface, spherical_mean)
 
 __version__ = "0.1.0"
 
@@ -38,7 +39,8 @@ __all__ = [
     "QuadratureSpec", "QuadratureResult", "integrate_finite",
     "integrate_bessel_halfline",
     "RadialProfile", "AnalyticProfile", "SampledProfile", "CallableProfile",
-    "profile_from_text", "radial_fourier", "radial_fourier_result", "hankel",
+    "profile_from_text", "radial_fourier", "radial_fourier_grid",
+    "radial_fourier_result", "hankel",
     "hankel_fourier_relation", "integrability_check", "sphere_surface",
     "spherical_mean",
 ]

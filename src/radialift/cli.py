@@ -95,20 +95,20 @@ def _parse_complex(text):
 
 def cmd_transform(args):
     profile = _transform.profile_from_text(args.profile)
-    grid = parse_grid(args.grid)
+    grid = parse_grid(args.grid).tolist()
     spec = _spec_from_args(args)
-
-    def worker(r):
-        res = _transform.radial_fourier_result(profile, args.dim, r, spec,
-                                               force=args.force)
+    results = _transform.radial_fourier_grid(profile, args.dim, grid, spec,
+                                             force=args.force)
+    records = []
+    for r, res in zip(grid, results):
         value = complex(res.value)
-        return OutputRecord(r, value.real, value.imag, res.error_estimate,
-                            res.method), res.converged
-
-    pairs = [worker(float(r)) for r in grid]
-    records = [rec for rec, _ in pairs]
+        records.append(OutputRecord(r, value.real, value.imag,
+                                    res.error_estimate, res.method))
+        if not res.converged:
+            print(f"warning: r={r!r} not converged "
+                  f"(estimate {res.error_estimate:.3g})", file=sys.stderr)
     _emit(records, args.format, args.out)
-    return EXIT_OK if all(ok for _, ok in pairs) else EXIT_PARTIAL
+    return EXIT_OK if all(res.converged for res in results) else EXIT_PARTIAL
 
 
 _ENGINES = {

@@ -1,10 +1,22 @@
 """Adaptive quadrature for finite intervals and oscillatory half-line integrals.
 
-Finite intervals use an adaptive Gauss-Kronrod 7/15 rule: the panel with the
-largest embedded-rule error estimate is bisected until the total estimate
-meets tolerance.  Half-line Bessel-kernel integrals are split at the kernel's
-zeros; the alternating sequence of partial sums is accelerated with Wynn's
-epsilon algorithm.
+Everything runs on one adaptive Gauss-Kronrod 7/15 loop over many intervals
+in lockstep.  The first panels of all intervals go to the integrand in one
+call.  Each interval that misses tolerance then bisects its own worst panel
+(largest embedded-rule error first), and the halves of all such panels go
+to the integrand in one call per round, until every interval meets its
+tolerance or its panel budget.  ``integrate_finite`` is the one-interval
+case.
+
+Half-line Bessel-kernel integrals are split at the kernel's zeros
+t_k = z_k / omega, so each segment carries one sign of the oscillation, and
+Wynn's epsilon algorithm accelerates the partial sums.  The splitter takes
+one omega or an array of them.  Every omega keeps its own partial sums,
+epsilon table and exit rules; each round integrates the next segment of
+every omega still running in one lockstep pass.  A head segment
+[0, z_1 / omega] longer than 1 starts from the windows [0, 1], [1, 3],
+[3, 7], ... cut at its end, so that a profile living near 0 is seen even
+when omega is tiny.
 
 Values may be complex (profiles with complex parameters integrate directly);
 error bookkeeping uses absolute values throughout.
@@ -12,7 +24,9 @@ error bookkeeping uses absolute values throughout.
 
 from __future__ import annotations
 
+import cmath
 import heapq
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -96,33 +110,138 @@ _WG = np.array([
     0.3818300505051189449503698, 0.2797053914892766679014678,
     0.1294849661688696932706114,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
+_NODES = _XGK.size
 
 
-def _call_integrand(f, x):
-    """Evaluate f on an ndarray, tolerating scalar-only callables."""
+def _call_integrand(f, x, *extra):
+    """Evaluate f on ndarray x and arguments that broadcast against it,
+    tolerating scalar-only callables."""
     try:
-        y = f(x)
-        y = np.asarray(y)
+        y = np.asarray(f(x, *extra))
         if y.shape != x.shape:
             raise ValueError
         return y
     except (TypeError, ValueError, IndexError):
-        return np.asarray([f(float(t)) for t in x])
+        args = [np.broadcast_to(v, x.shape).ravel() for v in (x, *extra)]
+        return np.asarray([f(*map(float, point))
+                           for point in zip(*args)]).reshape(x.shape)
 
 
-def _gk15(f, a, b):
-    """One Gauss-Kronrod panel: (kronrod_value, error_estimate, evals)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid + half * _XGK
-    y = _call_integrand(f, nodes)
-    if np.any(np.isnan(y)):
-        bad = nodes[np.nonzero(np.isnan(y))[0][0]]
-        raise PoisonedEvaluationError(bad)
-    kron = half * np.sum(_WGK * y)
-    gauss = half * np.sum(_WG * y[_GAUSS_IDX])
-    return kron, abs(kron - gauss), 15
+def _kronrod_panels(f, lo, hi, keys):
+    """One Gauss-Kronrod panel on each [lo_i, hi_i], all in one integrand call.
+
+    Without ``keys`` f gets the nodes flat; with them it gets the nodes as a
+    (panels, 15) array and the keys as a (panels, 1) column.  Returns the
+    Kronrod values and the embedded-rule error estimates as lists, and the
+    nodes and integrand values as (panels, 15) arrays.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * _XGK
+    y = _call_integrand(f, nodes.ravel()).reshape(nodes.shape) if keys is None \
+        else _call_integrand(f, nodes, keys[:, None])
+    kron_sums = np.add.reduce(_WGK * y, axis=1).tolist()
+    # the 7 Gauss nodes are the odd-indexed Kronrod nodes
+    gauss_sums = np.add.reduce(_WG * y[:, 1::2], axis=1).tolist()
+    kron, err = [], []
+    for h, k, g in zip(half.tolist(), kron_sums, gauss_sums):
+        k = h * k
+        kron.append(k)
+        err.append(abs(k - h * g))
+    return kron, err, nodes, y
+
+
+def _first_nan(nodes, y):
+    """The first node whose value is NaN, or None."""
+    bad = np.isnan(y)
+    return float(nodes[bad][0]) if bad.any() else None
+
+
+def _integrate_intervals(f, lo, hi, spec, keys=None, owner=None):
+    """Adaptive GK15 on many intervals in lockstep.
+
+    Interval i starts as panel [lo_i, hi_i], or, when ``owner`` is given, as
+    every panel j with owner[j] == i (owner is sorted).  Each interval that
+    misses tolerance bisects its own worst panel per round, exactly as a lone
+    adaptive integrator would, and the halves of all of them are evaluated
+    in one integrand call.  ``keys`` (or None) is one extra integrand
+    argument per interval.
+
+    Returns lists (values, errors, evaluations) and a dict that maps each
+    interval whose integrand gave NaN to the first such node; the list
+    entries of such an interval are not meaningful.
+    """
+    panel_keys = keys if keys is None or owner is None else keys[owner]
+    kron, err, nodes, y = _kronrod_panels(f, lo, hi, panel_keys)
+    if owner is None:
+        values, errors, counts = kron, err, [1] * len(kron)
+    else:
+        size = int(owner[-1]) + 1
+        values, errors, counts = [0.0] * size, [0.0] * size, [0] * size
+        for j, i in enumerate(owner.tolist()):
+            values[i] += kron[j]
+            errors[i] += err[j]
+            counts[i] += 1
+    evals = [_NODES * c for c in counts]
+    poisoned = {}
+    live = []
+    for i, (value, error, count) in enumerate(zip(values, errors, counts)):
+        if value != value:  # a NaN node makes the Kronrod sum NaN
+            rows = [i] if owner is None else owner == i
+            node = _first_nan(nodes[rows], y[rows])
+            if node is not None:
+                poisoned[i] = node
+                continue
+        if error > spec.tolerance(value) and count < spec.max_panels:
+            live.append(i)
+    if not live:
+        return values, errors, evals, poisoned
+
+    lo, hi = lo.tolist(), hi.tolist()
+    heaps = {}
+    for i in live:
+        panels = [i] if owner is None else np.flatnonzero(owner == i).tolist()
+        heaps[i] = [(-err[j], lo[j], hi[j], kron[j], err[j]) for j in panels]
+        heapq.heapify(heaps[i])
+    while live:
+        todo = []
+        for i in live:
+            heap = heaps[i]
+            while (errors[i] > spec.tolerance(values[i])
+                   and counts[i] < spec.max_panels):
+                _, pa, pb, pval, perr = heapq.heappop(heap)
+                mid = 0.5 * (pa + pb)
+                if mid <= pa or mid >= pb:  # exhausted at machine precision
+                    heapq.heappush(heap, (0.0, pa, pb, pval, 0.0))
+                    errors[i] -= perr
+                    continue
+                todo.append((i, pa, mid, pb, pval, perr))
+                break
+        if not todo:
+            break
+        # the halves of the j-th bisected panel are rows 2j (left) and 2j+1
+        new_lo = np.array([x for _, pa, mid, _, _, _ in todo for x in (pa, mid)])
+        new_hi = np.array([x for _, _, mid, pb, _, _ in todo for x in (mid, pb)])
+        new_keys = None if keys is None \
+            else np.repeat(keys[[item[0] for item in todo]], 2)
+        hk, he, nodes, y = _kronrod_panels(f, new_lo, new_hi, new_keys)
+        live = []
+        for j, (i, pa, mid, pb, pval, perr) in enumerate(todo):
+            lval, rval = hk[2 * j], hk[2 * j + 1]
+            if lval != lval or rval != rval:
+                node = _first_nan(nodes[2 * j:2 * j + 2], y[2 * j:2 * j + 2])
+                if node is not None:
+                    poisoned[i] = node
+                    continue
+            lerr, rerr = he[2 * j], he[2 * j + 1]
+            values[i] += lval + rval - pval
+            errors[i] += lerr + rerr - perr
+            heapq.heappush(heaps[i], (-lerr, pa, mid, lval, lerr))
+            heapq.heappush(heaps[i], (-rerr, mid, pb, rval, rerr))
+            counts[i] += 1
+            evals[i] += 2 * _NODES
+            live.append(i)
+    return values, errors, evals, poisoned
 
 
 def integrate_finite(f, a, b, spec=None):
@@ -136,27 +255,12 @@ def integrate_finite(f, a, b, spec=None):
     spec = spec or DEFAULT_SPEC
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    value, err, evals = _gk15(f, a, b)
-    heap = [(-err, a, b, value, err)]
-    total_value, total_err = value, err
-    panels = 1
-    while total_err > spec.tolerance(total_value) and panels < spec.max_panels:
-        neg, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:  # interval exhausted at machine precision
-            heapq.heappush(heap, (0.0, pa, pb, pval, 0.0))
-            total_err -= perr
-            continue
-        lval, lerr, le = _gk15(f, pa, mid)
-        rval, rerr, re_ = _gk15(f, mid, pb)
-        evals += le + re_
-        total_value += lval + rval - pval
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, pa, mid, lval, lerr))
-        heapq.heappush(heap, (-rerr, mid, pb, rval, rerr))
-        panels += 1
-    converged = total_err <= spec.tolerance(total_value)
-    return QuadratureResult(_tidy(total_value), float(total_err), evals, converged)
+    values, errors, evals, poisoned = _integrate_intervals(
+        f, np.array([float(a)]), np.array([float(b)]), spec)
+    if poisoned:
+        raise PoisonedEvaluationError(poisoned[0])
+    return QuadratureResult(_tidy(values[0]), errors[0], evals[0],
+                            errors[0] <= spec.tolerance(values[0]))
 
 
 def _tidy(value):
@@ -194,106 +298,183 @@ class _WynnEpsilon:
 # ---------------------------------------------------------------------------
 # oscillatory half-line integrals
 
+class _HalfLine:
+    """Partial sums, epsilon table, streak counters and exit rules of one omega."""
+
+    __slots__ = ("spec", "partial", "evals", "panel_err", "wynn", "accel",
+                 "accel_deltas", "small_streak", "grow_streak", "max_seg",
+                 "last_seg")
+
+    def __init__(self, spec, head_value, head_err, head_evals):
+        self.spec = spec
+        self.partial = complex(head_value)
+        self.evals = head_evals
+        self.panel_err = head_err
+        self.wynn = _WynnEpsilon(spec.accelerator_depth)
+        self.accel = self.wynn.add(self.partial)
+        self.accel_deltas = []
+        self.small_streak = 0
+        self.grow_streak = 0
+        self.max_seg = 0.0
+        self.last_seg = 0.0
+
+    def add(self, k, a, value, err, evals, clean):
+        """Fold in segment k, which starts at t = a; a result once done, else None."""
+        spec = self.spec
+        if not clean or not cmath.isfinite(value):
+            if self.small_streak >= 3:
+                warnings.warn("integrand failed in the far tail; truncating "
+                              f"at t={a:.3g} after negligible contributions",
+                              RuntimeWarning, stacklevel=3)
+                return QuadratureResult(_tidy(self.partial),
+                                        self.panel_err + abs(self.last_seg),
+                                        self.evals, True)
+            raise PoisonedEvaluationError(a)
+        self.evals += evals
+        self.panel_err += err
+        self.partial += complex(value)
+        seg_size = abs(value)
+
+        accel_new = self.wynn.add(self.partial)
+        self.accel_deltas.append(abs(accel_new - self.accel))
+        self.accel = accel_new
+
+        # negligible-terms exit: the plain sum has converged.  One more
+        # segment than the truncation rule above needs, so that an overflow
+        # arriving right after three dead segments still truncates cleanly.
+        if seg_size <= spec.abs_tol:
+            self.small_streak += 1
+            if self.small_streak >= 4:
+                return QuadratureResult(_tidy(self.partial),
+                                        self.panel_err + 3 * seg_size,
+                                        self.evals, True)
+        else:
+            self.small_streak = 0
+
+        # accelerated exit: epsilon estimates have stabilized
+        deltas = self.accel_deltas
+        if k >= 6 and len(deltas) >= 2:
+            tol = spec.tolerance(self.accel)
+            if deltas[-1] <= tol and deltas[-2] <= tol:
+                err = self.panel_err + 4.0 * max(deltas[-1], deltas[-2])
+                return QuadratureResult(_tidy(self.accel), err, self.evals, True)
+
+        # divergence watch: a long run of new global maxima means the tail
+        # is growing outright (local humps after an integrand zero stay
+        # below the running maximum and do not trigger this)
+        if seg_size > self.max_seg and seg_size > 100.0 * spec.abs_tol:
+            self.grow_streak += 1
+            if self.grow_streak >= 8 and k >= 12:
+                return QuadratureResult(_tidy(self.accel),
+                                        self.panel_err + seg_size,
+                                        self.evals, False)
+        else:
+            self.grow_streak = 0
+        self.max_seg = max(self.max_seg, seg_size)
+        self.last_seg = seg_size
+        return None
+
+    def out_of_budget(self):
+        deltas = self.accel_deltas
+        err = self.panel_err + (abs(deltas[-1]) if deltas else abs(self.last_seg))
+        return QuadratureResult(_tidy(self.accel), err + abs(self.last_seg),
+                                self.evals, False)
+
+
+def _head_panels(ends):
+    """Starting panels of the head segments [0, end_i].
+
+    A head no longer than 1 is one panel; a longer one gets the windows
+    [0, 1], [1, 3], [3, 7], ... cut at its end.  Returns (lo, hi, owner),
+    owner None when every head is one panel.
+    """
+    if (ends <= 1.0).all():
+        return np.zeros_like(ends), ends, None
+    lo, hi, owner = [], [], []
+    for i, end in enumerate(ends.tolist()):
+        edges = [0.0]
+        edge = 1.0
+        while edge < end:
+            edges.append(edge)
+            edge = 2.0 * edge + 1.0
+        edges.append(end)
+        lo += edges[:-1]
+        hi += edges[1:]
+        owner += [i] * (len(edges) - 1)
+    return np.array(lo), np.array(hi), np.array(owner)
+
+
 def split_halfline_at_zeros(integrand, nu, omega, spec=None):
-    """Integrate ``integrand`` over [0, inf) splitting at t_k = z_k / omega.
+    """Integrate ``integrand(t, omega)`` over [0, inf), split at t_k = z_k / omega.
 
     ``z_k`` are the zeros of J_nu, so each segment carries one sign of the
     oscillation; Wynn's epsilon algorithm accelerates the partial sums.
+    ``omega`` is one positive number, giving one QuadratureResult, or a 1-d
+    array of them, giving a list with one result per omega.  The integrand
+    receives the nodes as a (panels, 15) array and, as a (panels, 1) column,
+    the omega each panel belongs to.
     Segments whose integrand overflows are truncated (with a warning) once
     three consecutive contributions fall below abs_tol.
     """
     spec = spec or DEFAULT_SPEC
     order = nu if isinstance(nu, Order) else Order(int(round(2 * nu)))
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    omegas = np.asarray(omega, dtype=float)
+    scalar = omegas.ndim == 0
+    omegas = np.atleast_1d(omegas)
+    if omegas.ndim != 1:
+        raise ValueError("omega must be a number or a 1-d array")
+    if not all(0.0 < w < math.inf for w in omegas.tolist()):
+        raise ValueError("omega must be positive and finite")
 
     chunk = 64
-    zeros = bessel_zeros(order, chunk)
+    zeros = np.array(bessel_zeros(order, chunk))
     inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
                            max_panels=200, max_oscillations=spec.max_oscillations,
                            accelerator_depth=spec.accelerator_depth)
 
-    head = integrate_finite(integrand, 0.0, zeros[0] / omega, inner)
-    partial = complex(head.value)
-    evals = head.evaluations
-    panel_err = head.error_estimate
+    lo, hi, owner = _head_panels(zeros[0] / omegas)
+    values, errors, evals, poisoned = _integrate_intervals(
+        integrand, lo, hi, inner, omegas, owner)
+    if poisoned:
+        raise PoisonedEvaluationError(poisoned[min(poisoned)])
+    lines = [_HalfLine(spec, *head) for head in zip(values, errors, evals)]
+    results = [None] * omegas.size
 
-    wynn = _WynnEpsilon(spec.accelerator_depth)
-    accel = wynn.add(partial)
-    accel_deltas = []
-    small_streak = 0
-    grow_streak = 0
-    max_seg = 0.0
-    last_seg = 0.0
-
+    running = list(range(omegas.size))
+    w = omegas
     k = 0
-    while k < spec.max_oscillations:
+    while k < spec.max_oscillations and running:
         k += 1
         if k + 1 > len(zeros):
-            zeros = bessel_zeros(order, len(zeros) + chunk)
-        a, b = zeros[k - 1] / omega, zeros[k] / omega
-        try:
-            seg = integrate_finite(integrand, a, b, inner)
-        except PoisonedEvaluationError:
-            seg = None
-        if seg is None or not np.isfinite(seg.value).all():
-            if small_streak >= 3:
-                warnings.warn("integrand failed in the far tail; truncating "
-                              f"at t={a:.3g} after negligible contributions",
-                              RuntimeWarning, stacklevel=2)
-                return QuadratureResult(_tidy(partial), panel_err + abs(last_seg),
-                                        evals, True)
-            raise PoisonedEvaluationError(a)
-        evals += seg.evaluations
-        panel_err += seg.error_estimate
-        partial += complex(seg.value)
-        seg_size = abs(seg.value)
-
-        accel_new = wynn.add(partial)
-        accel_deltas.append(abs(accel_new - accel))
-        accel = accel_new
-
-        # negligible-terms exit: the plain sum has converged.  One more
-        # segment than the truncation rule below needs, so that an overflow
-        # arriving right after three dead segments still truncates cleanly.
-        if seg_size <= spec.abs_tol:
-            small_streak += 1
-            if small_streak >= 4:
-                return QuadratureResult(_tidy(partial),
-                                        panel_err + 3 * seg_size, evals, True)
-        else:
-            small_streak = 0
-
-        # accelerated exit: epsilon estimates have stabilized
-        if k >= 6 and len(accel_deltas) >= 2:
-            tol = spec.tolerance(accel)
-            if accel_deltas[-1] <= tol and accel_deltas[-2] <= tol:
-                err = panel_err + 4.0 * max(accel_deltas[-1], accel_deltas[-2])
-                return QuadratureResult(_tidy(accel), err, evals, True)
-
-        # divergence watch: a long run of new global maxima means the tail
-        # is growing outright (local humps after an integrand zero stay
-        # below the running maximum and do not trigger this)
-        if seg_size > max_seg and seg_size > 100.0 * spec.abs_tol:
-            grow_streak += 1
-            if grow_streak >= 8 and k >= 12:
-                return QuadratureResult(_tidy(accel),
-                                        panel_err + seg_size, evals, False)
-        else:
-            grow_streak = 0
-        max_seg = max(max_seg, seg_size)
-        last_seg = seg_size
-
-    err = panel_err + (abs(accel_deltas[-1]) if accel_deltas else abs(last_seg))
-    return QuadratureResult(_tidy(accel), err + abs(last_seg), evals, False)
+            zeros = np.array(bessel_zeros(order, len(zeros) + chunk))
+        a = zeros[k - 1] / w
+        values, errors, evals, poisoned = _integrate_intervals(
+            integrand, a, zeros[k] / w, inner, w)
+        still = []
+        for j, (i, start, value, err, count) in enumerate(zip(
+                running, a.tolist(), values, errors, evals)):
+            done = lines[i].add(k, start, value, err, count, j not in poisoned)
+            if done is None:
+                still.append(i)
+            else:
+                results[i] = done
+        if len(still) < len(running):
+            running = still
+            w = omegas[running]
+    for i in running:
+        results[i] = lines[i].out_of_budget()
+    return results[0] if scalar else results
 
 
 def integrate_bessel_halfline(g, nu, omega, spec=None):
-    """Integral of g(t) * Jt_nu(omega t) over [0, inf)."""
+    """Integral of g(t) * Jt_nu(omega t) over [0, inf); omega as in
+    ``split_halfline_at_zeros``."""
     order = nu if isinstance(nu, Order) else Order(int(round(2 * nu)))
 
-    def integrand(t):
-        return _call_integrand(g, t) * bessel_j_tilde(order, omega * np.asarray(t))
+    def integrand(t, w):
+        # flat arrays: Bessel evaluation is slower on 2-d ones
+        return (_call_integrand(g, t.ravel())
+                * bessel_j_tilde(order, (w * t).ravel())).reshape(t.shape)
 
     return split_halfline_at_zeros(integrand, order, omega, spec)
 

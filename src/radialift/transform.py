@@ -4,10 +4,11 @@ The transform of a radial profile f in dimension n at radius r is
 
     (2 pi)^(n/2) * integral_0^inf f(t) Jt_{n/2-1}(2 pi t r) t^(n-1) dt,
 
-evaluated by the oscillatory half-line engine.  Dimensions 1 and 2 run
-through the same machinery (orders -1/2 and 0) rather than being special
-cased.  r = 0 is handled as the plain moment (2 pi)^(n/2) Jt(0) * integral
-of f t^(n-1), avoiding a zero frequency in the oscillatory engine.
+evaluated by the oscillatory half-line engine, which steps every radius of
+a grid in lockstep.  Dimensions 1 and 2 run through the same machinery
+(orders -1/2 and 0) rather than being special cased.  r = 0 is handled as
+the plain moment (2 pi)^(n/2) Jt(0) * integral of f t^(n-1), avoiding a
+zero frequency in the oscillatory engine.
 
 Profiles are either closed-form expressions, sampled grids (cubic spline
 inside the grid, zero beyond it, with a one-time warning), or wrapped
@@ -32,7 +33,7 @@ from .quadrature import (QuadratureSpec, QuadratureResult, integrate_finite,
 __all__ = [
     "RadialProfile", "AnalyticProfile", "SampledProfile", "CallableProfile",
     "profile_from_text", "sphere_surface", "radial_fourier",
-    "radial_fourier_result", "hankel", "hankel_result",
+    "radial_fourier_result", "radial_fourier_grid", "hankel", "hankel_result",
     "hankel_fourier_relation", "integrability_check", "IntegrabilityReport",
     "spherical_mean", "TransformResult",
 ]
@@ -292,34 +293,56 @@ def _finalize(profile, quad, method):
                            quad.converged, method)
 
 
-def radial_fourier_result(f, n, r, spec=None, force=False):
-    """Full-diagnostics radial Fourier transform in dimension n at radius r."""
+def radial_fourier_grid(f, n, radii, spec=None, force=False):
+    """Full-diagnostics radial Fourier transform in dimension n at every radius.
+
+    The gate runs once, r = 0 is the moment, and all positive radii go
+    through one lockstep half-line pass.  Returns one TransformResult per
+    radius, in order.
+    """
     profile = _as_profile(f)
     n = _check_dimension(n)
-    if np.ndim(r) != 0:
-        raise TypeError("r must be a scalar; map over grids explicitly")
-    r = float(r)
-    if r < 0:
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1:
+        raise TypeError("radii must be a one-dimensional sequence")
+    radii = radii.tolist()
+    if not all(r >= 0 for r in radii):
         raise ValueError("r must be nonnegative")
     order = Order.for_dimension(n)
     prefactor = (2.0 * math.pi) ** (n / 2.0)
 
     _gate(profile, n, force)
-    if r == 0.0:
+    results = [None] * len(radii)
+    at_zero = [i for i, r in enumerate(radii) if r == 0.0]
+    if at_zero:
         moment = integrate_halfline_decaying(
             lambda t: profile.values(t) * t ** (n - 1), spec)
-        value = prefactor * jtilde_at_zero(order) * complex(moment.value)
-        quad = QuadratureResult(value, prefactor * moment.error_estimate,
-                                moment.evaluations, moment.converged)
-        return _finalize(profile, quad, "direct")
+        scale = prefactor * jtilde_at_zero(order)
+        for i in at_zero:
+            quad = QuadratureResult(scale * complex(moment.value),
+                                    scale * moment.error_estimate,
+                                    moment.evaluations, moment.converged)
+            results[i] = _finalize(profile, quad, "direct")
 
-    def g(t):
-        return profile.values(t) * np.asarray(t, dtype=float) ** (n - 1)
+    positive = [i for i, r in enumerate(radii) if r > 0.0]
+    if positive:
+        def g(t):
+            return profile.values(t) * t ** (n - 1)
 
-    quad = integrate_bessel_halfline(g, order, 2.0 * math.pi * r, spec)
-    quad.value = prefactor * complex(quad.value)
-    quad.error_estimate *= prefactor
-    return _finalize(profile, quad, "direct")
+        omegas = np.array([2.0 * math.pi * radii[i] for i in positive])
+        quads = integrate_bessel_halfline(g, order, omegas, spec)
+        for i, quad in zip(positive, quads):
+            quad.value = prefactor * complex(quad.value)
+            quad.error_estimate *= prefactor
+            results[i] = _finalize(profile, quad, "direct")
+    return results
+
+
+def radial_fourier_result(f, n, r, spec=None, force=False):
+    """Full-diagnostics radial Fourier transform in dimension n at radius r."""
+    if np.ndim(r) != 0:
+        raise TypeError("r must be a scalar; use radial_fourier_grid for grids")
+    return radial_fourier_grid(f, n, [float(r)], spec, force)[0]
 
 
 def radial_fourier(f, n, r, spec=None, force=False):
@@ -346,9 +369,9 @@ def hankel_result(f, nu, r, spec=None):
     if r <= 0:
         raise ValueError("r must be positive")
 
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        return profile.values(t) * bessel_j(order, r * t) * t
+    def integrand(t, omega):
+        return (profile.values(t.ravel()) * bessel_j(order, (omega * t).ravel())
+                * t.ravel()).reshape(t.shape)
 
     quad = split_halfline_at_zeros(integrand, order, r, spec)
     return _finalize(profile, quad, "direct")

@@ -85,6 +85,26 @@ def test_transform_partial_convergence_exit(capsys):
     assert read_csv(out)[0]["error_estimate"] > 0
 
 
+def test_transform_names_the_points_that_did_not_converge(capsys):
+    code, out, err = run_cli(capsys, "transform", "--profile", "exp(-s)",
+                             "--dim", "3", "--grid", "0.5:1:3",
+                             "--max-oscillations", "2")
+    assert code == EXIT_PARTIAL
+    assert [row["r"] for row in read_csv(out)] == [0.5, 0.75, 1.0]
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for line, r in zip(lines, ("0.5", "0.75", "1.0")):
+        assert line.startswith(f"warning: r={r} not converged (estimate ")
+
+
+def test_transform_converged_grid_keeps_stderr_empty(capsys):
+    code, out, err = run_cli(capsys, "transform", "--profile", "exp(-2*pi*s)",
+                             "--dim", "4", "--grid", "0:3:16")
+    assert code == EXIT_OK
+    assert len(read_csv(out)) == 16
+    assert err == ""
+
+
 def test_transform_up_to_the_order_ceiling(capsys):
     # n = 65 once failed in zero finding and n = 122 asked for an order past
     # the ceiling; accuracy at such n is not asserted here

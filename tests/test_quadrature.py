@@ -8,8 +8,10 @@ import scipy.special as sp
 
 from radialift.bessel import Order
 from radialift.errors import PoisonedEvaluationError
-from radialift.quadrature import (QuadratureSpec, integrate_bessel_halfline,
-                                  integrate_finite, integrate_halfline_decaying)
+from radialift.quadrature import (QuadratureResult, QuadratureSpec,
+                                  integrate_bessel_halfline, integrate_finite,
+                                  integrate_halfline_decaying,
+                                  split_halfline_at_zeros)
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -117,6 +119,60 @@ def test_halfline_divergence_flagged():
                                     Order(-1), 1.0,
                                     QuadratureSpec(max_oscillations=120))
     assert not res.converged
+
+
+def test_halfline_omega_array_matches_one_omega_at_a_time():
+    g = lambda t: 1.0 / (1.0 + t * t) ** 2
+    omegas = np.array([0.05, 0.3, 2.0, 2.0, 7.5])
+    batch = integrate_bessel_halfline(g, Order(1), omegas)
+    assert isinstance(batch, list) and len(batch) == omegas.size
+    for omega, res in zip(omegas, batch):
+        single = integrate_bessel_halfline(g, Order(1), float(omega))
+        assert isinstance(single, QuadratureResult)
+        assert res.converged == single.converged
+        assert res.evaluations == single.evaluations
+        assert abs(res.value - single.value) <= 1e-14 * abs(single.value)
+
+
+def test_halfline_rounds_share_integrand_calls():
+    calls = []
+
+    def integrand(t, w):
+        calls.append(t.shape)
+        return np.exp(-t) * np.cos(w * t)
+
+    omegas = np.linspace(0.5, 5.0, 10)
+    split_halfline_at_zeros(integrand, Order(-1), omegas)
+    batched = len(calls)
+    assert all(shape[1] == 15 for shape in calls)
+    assert max(shape[0] for shape in calls) >= omegas.size
+    calls.clear()
+    for omega in omegas:
+        split_halfline_at_zeros(integrand, Order(-1), float(omega))
+    assert batched * 5 <= len(calls)
+
+
+def test_halfline_long_head_starts_from_windows():
+    # the head [0, (pi/2) / omega] is 1.6e5 long; one panel over it would
+    # miss e^-t entirely: int e^-t sqrt(2/pi) cos(omega t) = sqrt(2/pi)/(1+omega^2)
+    for omega in (1e-5, 1e-3, 0.5):
+        res = integrate_bessel_halfline(lambda t: np.exp(-t), Order(-1), omega)
+        assert res.converged
+        assert abs(res.value - SQ2PI / (1.0 + omega * omega)) < 1e-12, omega
+
+
+def test_halfline_omega_validation():
+    for bad in (0.0, -1.0, math.inf, math.nan, [1.0, 0.0], [[1.0]]):
+        with pytest.raises(ValueError):
+            integrate_bessel_halfline(lambda t: np.exp(-t), Order(0), bad)
+
+
+def test_halfline_nan_in_one_omega_poisons_the_batch():
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 2.0, np.nan, np.exp(-t))
+    with pytest.raises(PoisonedEvaluationError):
+        integrate_bessel_halfline(g, Order(0), np.array([5.0, 1.0]))
 
 
 def test_decaying_halfline():

@@ -7,13 +7,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radialift.errors import IntegrabilityError
+from radialift.quadrature import QuadratureSpec
 from radialift.transform import (AnalyticProfile, CallableProfile,
                                  SampledProfile, hankel, hankel_fourier_relation,
                                  integrability_check, profile_from_text,
-                                 radial_fourier, radial_fourier_result,
-                                 sphere_surface, spherical_mean)
+                                 radial_fourier, radial_fourier_grid,
+                                 radial_fourier_result, sphere_surface,
+                                 spherical_mean)
 
 GAUSS = profile_from_text("exp(-pi*s^2)")
 SECH = profile_from_text("sech(pi*s)")
@@ -65,6 +68,76 @@ def test_exponential_profile_closed_form():
 def test_transform_at_zero_is_the_moment():
     assert abs(radial_fourier(GAUSS, 3, 0.0) - 1.0) < 1e-10
     assert abs(radial_fourier(GAUSS, 1, 0.0) - 1.0) < 1e-10
+
+
+def test_transform_at_zero_estimate_scales_like_the_value():
+    spec = QuadratureSpec()
+    for n in (4, 20, 65):
+        res = radial_fourier_result(GAUSS, n, 0.0)
+        assert res.converged
+        assert res.error_estimate <= spec.tolerance(res.value), n
+        assert abs(res.value - 1.0) <= max(res.error_estimate, 1e-15), n
+
+
+def _poisson(n, r):
+    # transform of exp(-2 pi |x|) in dimension n
+    return (math.gamma((n + 1) / 2) * math.pi ** (-(n + 1) / 2)
+            * (1.0 + r * r) ** (-(n + 1) / 2))
+
+
+def test_tiny_radii_match_the_closed_forms():
+    # the head segment [0, j_1 / (2 pi r)] is far longer than the profile
+    spec = QuadratureSpec()
+    poisson = profile_from_text("exp(-2*pi*s)")
+    for n in range(1, 6):
+        for r in (1e-6, 3.1e-5, 1e-4, 8e-4):
+            for profile, exact in ((GAUSS, math.exp(-math.pi * r * r)),
+                                   (poisson, _poisson(n, r))):
+                res = radial_fourier_result(profile, n, r)
+                assert res.converged
+                assert abs(res.value - exact) <= 10 * spec.tolerance(exact), (n, r)
+
+
+def test_grid_validation():
+    assert radial_fourier_grid(GAUSS, 3, []) == []
+    with pytest.raises(TypeError):
+        radial_fourier_grid(GAUSS, 3, [[0.5, 1.0]])
+    with pytest.raises(ValueError):
+        radial_fourier_grid(GAUSS, 3, [0.5, -1.0])
+    with pytest.raises(TypeError):
+        radial_fourier_result(GAUSS, 3, [0.5, 1.0])
+
+
+_GRID_PROFILES = ("exp(-pi*s^2)", "exp(-2*pi*s)", "1/(1+s^2)^2", "s^2*exp(-s)")
+
+
+def _outcome(compute):
+    """The results of ``compute()``, or the type of the error it raised."""
+    try:
+        return compute()
+    except Exception as exc:  # the grid must fail exactly where a point does
+        return type(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=st.sampled_from(_GRID_PROFILES), n=st.integers(1, 8),
+       radii=st.lists(st.sampled_from([0.0, 0.25, 1.0]) |
+                      st.floats(0.0, 4.0, allow_nan=False), min_size=1,
+                      max_size=12))
+def test_grid_equals_its_points(text, n, radii):
+    points = _outcome(lambda: [radial_fourier_result(profile_from_text(text),
+                                                     n, r) for r in radii])
+    grid = _outcome(lambda: radial_fourier_grid(profile_from_text(text), n,
+                                                radii))
+    if isinstance(points, type):
+        assert grid is points
+        return
+    assert [p.converged for p in points] == [g.converged for g in grid]
+    for r, p, g in zip(radii, points, grid):
+        assert abs(g.value - p.value) <= max(1e-12 * abs(p.value),
+                                             p.error_estimate), r
+    assert sum(p.evaluations for p in points) == \
+        sum(g.evaluations for g in grid)
 
 
 def test_result_metadata():
