@@ -1,22 +1,23 @@
 """Adaptive quadrature for finite intervals and oscillatory half-line integrals.
 
 Everything runs on one adaptive Gauss-Kronrod 7/15 loop over many intervals
-in lockstep.  The first panels of all intervals go to the integrand in one
-call.  Each interval that misses tolerance then bisects its own worst panel
-(largest embedded-rule error first), and the halves of all such panels go
-to the integrand in one call per round, until every interval meets its
-tolerance or its panel budget.  ``integrate_finite`` is the one-interval
-case.
+in lockstep, ``integrate_finite``.  The first panels of all intervals go to
+the integrand in one call.  Each interval that misses tolerance then
+bisects its own worst panel (largest embedded-rule error first), and the
+halves of all such panels go to the integrand in one call per round, until
+every interval meets its tolerance or its panel budget.  Given two numbers,
+``integrate_finite`` integrates the one interval between them.
 
 Half-line Bessel-kernel integrals are split at the kernel's zeros
 t_k = z_k / omega, so each segment carries one sign of the oscillation, and
 Wynn's epsilon algorithm accelerates the partial sums.  The splitter takes
 one omega or an array of them.  Every omega keeps its own partial sums,
-epsilon table and exit rules; each round integrates the next segment of
-every omega still running in one lockstep pass.  A head segment
-[0, z_1 / omega] longer than 1 starts from the windows [0, 1], [1, 3],
-[3, 7], ... cut at its end, so that a profile living near 0 is seen even
-when omega is tiny.
+epsilon table and exit rules; each round hands the next segment of every
+omega still running to one ``integrate_finite`` call.  A head segment
+[0, z_1 / omega] longer than 1 is integrated over the windows [0, 1],
+[1, 3], [3, 7], ... cut at its end, the windows that
+``integrate_halfline_decaying`` steps through, so that a profile living
+near 0 is seen even when omega is tiny.
 
 Values may be complex (profiles with complex parameters integrate directly);
 error bookkeeping uses absolute values throughout.
@@ -157,52 +158,39 @@ def _first_nan(nodes, y):
     return float(nodes[bad][0]) if bad.any() else None
 
 
-def _integrate_intervals(f, lo, hi, spec, keys=None, owner=None):
-    """Adaptive GK15 on many intervals in lockstep.
+def _integrate_intervals(f, lo, hi, spec, keys=None):
+    """Adaptive GK15 on every [lo_i, hi_i] in lockstep.
 
-    Interval i starts as panel [lo_i, hi_i], or, when ``owner`` is given, as
-    every panel j with owner[j] == i (owner is sorted).  Each interval that
-    misses tolerance bisects its own worst panel per round, exactly as a lone
-    adaptive integrator would, and the halves of all of them are evaluated
-    in one integrand call.  ``keys`` (or None) is one extra integrand
-    argument per interval.
+    Each interval starts as one panel.  Each interval that misses tolerance
+    bisects its own worst panel per round, exactly as a lone adaptive
+    integrator would, and the halves of all of them are evaluated in one
+    integrand call.  About one half-line segment in seven refines, and
+    refining those one interval at a time made a 128-radius transform grid
+    2-3x slower.  ``keys`` (or None) is one extra integrand argument per
+    interval.
 
-    Returns lists (values, errors, evaluations) and a dict that maps each
+    Returns lists (values, errors, panel counts) and a dict that maps each
     interval whose integrand gave NaN to the first such node; the list
     entries of such an interval are not meaningful.
     """
-    panel_keys = keys if keys is None or owner is None else keys[owner]
-    kron, err, nodes, y = _kronrod_panels(f, lo, hi, panel_keys)
-    if owner is None:
-        values, errors, counts = kron, err, [1] * len(kron)
-    else:
-        size = int(owner[-1]) + 1
-        values, errors, counts = [0.0] * size, [0.0] * size, [0] * size
-        for j, i in enumerate(owner.tolist()):
-            values[i] += kron[j]
-            errors[i] += err[j]
-            counts[i] += 1
-    evals = [_NODES * c for c in counts]
+    values, errors, nodes, y = _kronrod_panels(f, lo, hi, keys)
+    counts = [1] * len(values)
     poisoned = {}
     live = []
-    for i, (value, error, count) in enumerate(zip(values, errors, counts)):
+    for i, (value, error) in enumerate(zip(values, errors)):
         if value != value:  # a NaN node makes the Kronrod sum NaN
-            rows = [i] if owner is None else owner == i
-            node = _first_nan(nodes[rows], y[rows])
+            node = _first_nan(nodes[i], y[i])
             if node is not None:
                 poisoned[i] = node
                 continue
-        if error > spec.tolerance(value) and count < spec.max_panels:
+        if error > spec.tolerance(value) and spec.max_panels > 1:
             live.append(i)
     if not live:
-        return values, errors, evals, poisoned
+        return values, errors, counts, poisoned
 
     lo, hi = lo.tolist(), hi.tolist()
-    heaps = {}
-    for i in live:
-        panels = [i] if owner is None else np.flatnonzero(owner == i).tolist()
-        heaps[i] = [(-err[j], lo[j], hi[j], kron[j], err[j]) for j in panels]
-        heapq.heapify(heaps[i])
+    # one heap of panels per interval that refines; the rest allocate nothing
+    heaps = {i: [(-errors[i], lo[i], hi[i], values[i], errors[i])] for i in live}
     while live:
         todo = []
         for i in live:
@@ -239,28 +227,46 @@ def _integrate_intervals(f, lo, hi, spec, keys=None, owner=None):
             heapq.heappush(heaps[i], (-lerr, pa, mid, lval, lerr))
             heapq.heappush(heaps[i], (-rerr, mid, pb, rval, rerr))
             counts[i] += 1
-            evals[i] += 2 * _NODES
             live.append(i)
-    return values, errors, evals, poisoned
+    return values, errors, counts, poisoned
 
 
-def integrate_finite(f, a, b, spec=None):
-    """Adaptive integral of f over [a, b].
+def integrate_finite(f, a, b, spec=None, keys=None):
+    """Adaptive integral of f over [a, b], or over every [a_i, b_i] in lockstep.
 
     Panels with the largest embedded-rule error are bisected first.  A
     non-convergent run (panel budget exhausted) returns the best value with
-    ``converged=False``; NaN from the integrand raises
-    PoisonedEvaluationError.
+    ``converged=False``.  With numbers a < b the result is one
+    QuadratureResult, and NaN from the integrand raises
+    PoisonedEvaluationError.  With 1-d arrays a and b it is a list with one
+    result per interval, None where the integrand gave NaN; f gets the
+    nodes flat, or, given ``keys`` (one number per interval), the nodes as a
+    (panels, 15) array and the keys as a (panels, 1) column.
     """
     spec = spec or DEFAULT_SPEC
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    values, errors, evals, poisoned = _integrate_intervals(
-        f, np.array([float(a)]), np.array([float(b)]), spec)
-    if poisoned:
-        raise PoisonedEvaluationError(poisoned[0])
-    return QuadratureResult(_tidy(values[0]), errors[0], evals[0],
-                            errors[0] <= spec.tolerance(values[0]))
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if lo.ndim == 0 and hi.ndim == 0:
+        if not lo < hi:
+            raise ValueError(f"need a < b, got [{a}, {b}]")
+        values, errors, counts, poisoned = _integrate_intervals(
+            f, lo[None], hi[None], spec)
+        if poisoned:
+            raise PoisonedEvaluationError(poisoned[0])
+        return _result(values[0], errors[0], counts[0], spec)
+    if lo.ndim != 1 or lo.shape != hi.shape or not (lo < hi).all():
+        raise ValueError("need 1-d arrays a and b of one length, with a < b")
+    if keys is not None:
+        keys = np.asarray(keys)
+    values, errors, counts, poisoned = _integrate_intervals(
+        f, lo, hi, spec, keys)
+    return [None if i in poisoned else _result(v, e, c, spec)
+            for i, (v, e, c) in enumerate(zip(values, errors, counts))]
+
+
+def _result(value, error, panels, spec):
+    # the first panel takes 15 nodes, every bisection two more panels
+    return QuadratureResult(_tidy(value), error, _NODES * (2 * panels - 1),
+                            error <= spec.tolerance(value))
 
 
 def _tidy(value):
@@ -318,10 +324,11 @@ class _HalfLine:
         self.max_seg = 0.0
         self.last_seg = 0.0
 
-    def add(self, k, a, value, err, evals, clean):
-        """Fold in segment k, which starts at t = a; a result once done, else None."""
+    def add(self, k, a, seg):
+        """Fold in segment k, which starts at t = a and integrated to ``seg``
+        (None where the integrand gave NaN); a result once done, else None."""
         spec = self.spec
-        if not clean or not cmath.isfinite(value):
+        if seg is None or not cmath.isfinite(seg.value):
             if self.small_streak >= 3:
                 warnings.warn("integrand failed in the far tail; truncating "
                               f"at t={a:.3g} after negligible contributions",
@@ -330,10 +337,10 @@ class _HalfLine:
                                         self.panel_err + abs(self.last_seg),
                                         self.evals, True)
             raise PoisonedEvaluationError(a)
-        self.evals += evals
-        self.panel_err += err
-        self.partial += complex(value)
-        seg_size = abs(value)
+        self.evals += seg.evaluations
+        self.panel_err += seg.error_estimate
+        self.partial += complex(seg.value)
+        seg_size = abs(seg.value)
 
         accel_new = self.wynn.add(self.partial)
         self.accel_deltas.append(abs(accel_new - self.accel))
@@ -381,27 +388,23 @@ class _HalfLine:
                                 self.evals, False)
 
 
-def _head_panels(ends):
-    """Starting panels of the head segments [0, end_i].
+def _windows(width=1.0):
+    """The windows [0, 1], [1, 3], [3, 7], ... (for width 1): each starts
+    where the last ended, and past t = 1 each is twice as wide."""
+    a = 0.0
+    while True:
+        yield a, a + width
+        a += width
+        if a >= 1.0:
+            width *= 2.0
 
-    A head no longer than 1 is one panel; a longer one gets the windows
-    [0, 1], [1, 3], [3, 7], ... cut at its end.  Returns (lo, hi, owner),
-    owner None when every head is one panel.
-    """
-    if (ends <= 1.0).all():
-        return np.zeros_like(ends), ends, None
-    lo, hi, owner = [], [], []
-    for i, end in enumerate(ends.tolist()):
-        edges = [0.0]
-        edge = 1.0
-        while edge < end:
-            edges.append(edge)
-            edge = 2.0 * edge + 1.0
-        edges.append(end)
-        lo += edges[:-1]
-        hi += edges[1:]
-        owner += [i] * (len(edges) - 1)
-    return np.array(lo), np.array(hi), np.array(owner)
+
+def _head_windows(end):
+    """The windows that start before ``end``, the last one cut at it."""
+    for a, b in _windows():
+        yield a, min(b, end)
+        if b >= end:
+            return
 
 
 def split_halfline_at_zeros(integrand, nu, omega, spec=None):
@@ -432,12 +435,21 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
                            max_panels=200, max_oscillations=spec.max_oscillations,
                            accelerator_depth=spec.accelerator_depth)
 
-    lo, hi, owner = _head_panels(zeros[0] / omegas)
-    values, errors, evals, poisoned = _integrate_intervals(
-        integrand, lo, hi, inner, omegas, owner)
-    if poisoned:
-        raise PoisonedEvaluationError(poisoned[min(poisoned)])
-    lines = [_HalfLine(spec, *head) for head in zip(values, errors, evals)]
+    # a head longer than 1 is integrated window by window, so that a
+    # profile living near 0 is seen even when omega is tiny
+    windows = [(i, a, b) for i, end in enumerate((zeros[0] / omegas).tolist())
+               for a, b in _head_windows(end)]
+    owner, lo, hi = zip(*windows)
+    heads = [[0.0, 0.0, 0] for _ in range(omegas.size)]
+    for i, a, part in zip(owner, lo, integrate_finite(
+            integrand, np.array(lo), np.array(hi), inner, omegas[list(owner)])):
+        if part is None:
+            raise PoisonedEvaluationError(a)
+        head = heads[i]
+        head[0] += part.value
+        head[1] += part.error_estimate
+        head[2] += part.evaluations
+    lines = [_HalfLine(spec, *head) for head in heads]
     results = [None] * omegas.size
 
     running = list(range(omegas.size))
@@ -448,12 +460,10 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
         if k + 1 > len(zeros):
             zeros = np.array(bessel_zeros(order, len(zeros) + chunk))
         a = zeros[k - 1] / w
-        values, errors, evals, poisoned = _integrate_intervals(
-            integrand, a, zeros[k] / w, inner, w)
+        segs = integrate_finite(integrand, a, zeros[k] / w, inner, w)
         still = []
-        for j, (i, start, value, err, count) in enumerate(zip(
-                running, a.tolist(), values, errors, evals)):
-            done = lines[i].add(k, start, value, err, count, j not in poisoned)
+        for i, start, seg in zip(running, a.tolist(), segs):
+            done = lines[i].add(k, start, seg)
             if done is None:
                 still.append(i)
             else:
@@ -491,10 +501,12 @@ def integrate_halfline_decaying(f, spec=None, start_width=1.0):
     total = 0.0 + 0.0j
     err = 0.0
     evals = 0
-    a, width = 0.0, start_width
     small = 0
-    while a < 1e8:
-        seg = integrate_finite(f, a, a + width, inner)
+    for a, b in _windows(start_width):
+        if a >= 1e8:
+            return QuadratureResult(_tidy(total), err + abs(seg.value), evals,
+                                    False)
+        seg = integrate_finite(f, a, b, inner)
         total += complex(seg.value)
         err += seg.error_estimate
         evals += seg.evaluations
@@ -505,7 +517,3 @@ def integrate_halfline_decaying(f, spec=None, start_width=1.0):
                                         evals, True)
         else:
             small = 0
-        a += width
-        if a >= 1.0:
-            width *= 2.0
-    return QuadratureResult(_tidy(total), err + abs(seg.value), evals, False)

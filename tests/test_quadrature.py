@@ -61,6 +61,34 @@ def test_panel_budget_reports_nonconvergence():
     assert res.error_estimate > 0
 
 
+def test_finite_arrays_match_one_interval_at_a_time():
+    # s ** -0.5 refines near 0; the other intervals pass on their first panel
+    a = np.array([0.0, 1.0, 0.0, 2.0])
+    b = np.array([1.0, 2.0, 0.5, 7.0])
+    batch = integrate_finite(lambda s: s ** -0.5, a, b)
+    assert isinstance(batch, list) and len(batch) == a.size
+    for lo, hi, res in zip(a, b, batch):
+        single = integrate_finite(lambda s: s ** -0.5, lo, hi)
+        assert res.evaluations == single.evaluations
+        assert res.converged == single.converged
+        assert abs(res.value - single.value) <= 1e-15 * abs(single.value)
+        assert abs(res.value - 2.0 * (math.sqrt(hi) - math.sqrt(lo))) < 1e-9
+
+
+def test_finite_arrays_keys_and_nan():
+    def f(s, k):
+        assert s.shape[1] == 15 and k.shape == (s.shape[0], 1)
+        return np.where(k > 1.5, np.nan, k * s)
+
+    res = integrate_finite(f, np.zeros(3), np.ones(3), keys=[1.0, 2.0, 0.5])
+    assert res[1] is None
+    assert abs(res[0].value - 0.5) < 1e-15 and abs(res[2].value - 0.25) < 1e-15
+    for a, b in (([0.0, 1.0], [1.0, 1.0]), ([0.0], [1.0, 2.0]),
+                 ([[0.0]], [[1.0]])):
+        with pytest.raises(ValueError):
+            integrate_finite(np.sin, np.array(a), np.array(b))
+
+
 def test_halfline_laplace_cosine():
     # int_0^inf e^-t sqrt(2/pi) cos(t) dt = sqrt(2/pi) / 2
     res = integrate_bessel_halfline(lambda t: np.exp(-t), Order(-1), 1.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radialift.errors import IntegrabilityError
+from radialift.errors import IntegrabilityError, PoisonedEvaluationError
 from radialift.quadrature import QuadratureSpec
 from radialift.transform import (AnalyticProfile, CallableProfile,
                                  SampledProfile, hankel, hankel_fourier_relation,
@@ -112,10 +112,11 @@ _GRID_PROFILES = ("exp(-pi*s^2)", "exp(-2*pi*s)", "1/(1+s^2)^2", "s^2*exp(-s)")
 
 
 def _outcome(compute):
-    """The results of ``compute()``, or the type of the error it raised."""
+    """The results of ``compute()``, or the type of an expected error; any
+    other error fails the test."""
     try:
         return compute()
-    except Exception as exc:  # the grid must fail exactly where a point does
+    except (IntegrabilityError, PoisonedEvaluationError) as exc:
         return type(exc)
 
 
@@ -131,6 +132,10 @@ def test_grid_equals_its_points(text, n, radii):
                                                 radii))
     if isinstance(points, type):
         assert grid is points
+        if points is IntegrabilityError:  # the gate's refusal
+            assert text == "1/(1+s^2)^2" and n >= 4
+        else:  # the known fault at radii far below 1 (CHANGES.md)
+            assert any(0.0 < r < 1e-6 for r in radii)
         return
     assert [p.converged for p in points] == [g.converged for g in grid]
     for r, p, g in zip(radii, points, grid):
