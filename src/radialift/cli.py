@@ -111,29 +111,17 @@ def cmd_transform(args):
     return EXIT_OK if all(res.converged for res in results) else EXIT_PARTIAL
 
 
-_ENGINES = {
-    "analytic": lambda: _lift.AnalyticEngine(),
-    "chebyshev": lambda: _lift.ChebyshevEngine(),
-    "fd": lambda: _lift.CentralFDEngine(),
-}
-
-
 def cmd_lift(args):
     profile = _transform.profile_from_text(args.profile)
-    grid = parse_grid(args.grid)
-    engine = _ENGINES[args.engine]() if args.engine else None
-    chosen = engine or _lift.default_engine(profile)
-    k = (args.to_dim - args.from_dim) // 2 if args.to_dim != args.from_dim else 0
-    method = f"lift-{chosen.name}" if k == 1 else "corollary"
-
-    def worker(rho):
-        res = _lift.lift_to_dimension(profile, args.from_dim, args.to_dim,
-                                      rho, engine)
+    # a CLI profile is an expression, so the lift is exact
+    method = "lift-analytic" if args.to_dim - args.from_dim == 2 else "corollary"
+    records = []
+    for rho in parse_grid(args.grid).tolist():
+        res = _lift.lift_to_dimension(profile, args.from_dim, args.to_dim, rho)
         value = complex(res.value)
-        return OutputRecord(rho, value.real, value.imag, res.error_estimate,
-                            method)
-
-    _emit([worker(float(rho)) for rho in grid], args.format, args.out)
+        records.append(OutputRecord(rho, value.real, value.imag,
+                                    res.error_estimate, method))
+    _emit(records, args.format, args.out)
     return EXIT_OK
 
 
@@ -149,13 +137,11 @@ def cmd_kernel(args):
         energy=float(args.projection) if family == "projection" else None,
         t=float(args.heat) if family == "heat" else None)
     profile = kernels.kernel_profile(spec)
-    grid = parse_grid(args.grid)
-
-    def worker(r):
+    records = []
+    for r in parse_grid(args.grid).tolist():
         value = profile.evaluate(r)
-        return OutputRecord(r, value.real, value.imag, 0.0, "catalog")
-
-    _emit([worker(float(r)) for r in grid], args.format, args.out)
+        records.append(OutputRecord(r, value.real, value.imag, 0.0, "catalog"))
+    _emit(records, args.format, args.out)
     return EXIT_OK
 
 
@@ -327,7 +313,6 @@ def build_parser():
     p.add_argument("--from", dest="from_dim", type=int, required=True,
                    choices=(1, 2))
     p.add_argument("--to", dest="to_dim", type=int, required=True)
-    p.add_argument("--engine", choices=tuple(_ENGINES), default=None)
     add_common(p)
     p.set_defaults(fn=cmd_lift)
 

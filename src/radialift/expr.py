@@ -25,8 +25,8 @@ from .errors import EvaluationDomainError, ExpressionSyntaxError, UnknownIdentif
 __all__ = [
     "Expression", "Constant", "Variable", "Sum", "Product", "Quotient",
     "Negate", "IntegerPower", "Power", "Apply", "S",
-    "parse", "evaluate", "differentiate", "simplify", "func", "const",
-    "FUNCTION_NAMES",
+    "parse", "evaluate", "differentiate", "derivatives", "simplify", "func",
+    "const", "FUNCTION_NAMES",
 ]
 
 
@@ -583,6 +583,17 @@ def evaluate(expression, s):
 def differentiate(expression):
     """Exact symbolic d/ds."""
     return expression.diff()
+
+
+def derivatives(expression, k):
+    """[e, De, ..., D^k e]: e as given, each derivative simplified.
+
+    The one place where the package takes repeated symbolic derivatives.
+    """
+    out = [expression]
+    for _ in range(k):
+        out.append(simplify(out[-1].diff()))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,7 @@ from .errors import BranchError, SphereRuleError
 from .expr import Apply, Constant, IntegerPower, Negate, Product, Quotient, S, Sum
 from .lift import lift_once_symbolic
 from .quadrature import QuadratureSpec, integrate_finite
-from .transform import (AnalyticProfile, integrability_check,
-                        radial_fourier_result, spherical_mean)
+from .transform import AnalyticProfile, radial_fourier_result, spherical_mean
 
 __all__ = [
     "KernelSpec", "sqrt_minus_z", "resolvent_kernel", "projection_kernel",
@@ -190,10 +188,6 @@ def kernel_of_multiplier(f, n, r, spec=None):
         f = _expr.parse(f)
     inner = Product(Constant(4.0 * math.pi ** 2), IntegerPower(S, 2))
     profile = AnalyticProfile(_expr.simplify(f.substitute(inner)))
-    report = integrability_check(profile, n, max(r, 1e-6))
-    if not report.passed:
-        warnings.warn(f"multiplier profile: {report}; relying on oscillatory "
-                      "acceleration", RuntimeWarning, stacklevel=2)
     res = radial_fourier_result(profile, n, r, spec, force=True)
     if not res.converged:
         from .errors import ConvergenceError
@@ -259,9 +253,7 @@ def even_to_squared(f, k, t, spec=None):
             raise ValueError(f"profile is not even at u={u:.3g}")
     if k == 0:
         return f.evaluate(math.sqrt(t)).real
-    d = f
-    for _ in range(2 * k):
-        d = _expr.simplify(d.diff())
+    d = _expr.derivatives(f, 2 * k)[-1]
     root = math.sqrt(t)
     coeff = (math.factorial(k) * 2.0 ** (1 - 2 * k) * k * math.comb(2 * k, k)
              / math.factorial(2 * k))

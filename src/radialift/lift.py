@@ -15,11 +15,14 @@ k = 10).  ``iterate_operator_symbolic`` rebuilds the same table by applying
 the rewrite rho^-m D^l -> -(1/rho) D (rho^-m D^l) exactly, and is the
 independent oracle for the closed-form coefficients.
 
-Differentiation engines: symbolic (exact, for expression profiles),
-Chebyshev collocation on a window [a, b] with a > 0, and Richardson-
-extrapolated central differences.  Numerical differentiation is the
-dominant error source of the whole pipeline, so the engine is always
-swappable and every numeric result carries a propagated error bound.
+``lift_once`` (k = 1) and ``lift_to_dimension`` (any k) both evaluate
+that sum in one private evaluator, from the derivatives D^0..D^k that an
+engine supplies at rho.  Engines: symbolic (exact, for expression
+profiles, through ``expr.derivatives``), Chebyshev collocation on a window
+[a, b] with a > 0, and Richardson-extrapolated central differences.
+Numerical differentiation is the dominant error source of the whole
+pipeline, so the engine is always swappable and every result carries the
+engine's error bounds propagated through the sum.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import EngineError, ParityError
-from .transform import (AnalyticProfile, RadialProfile, _as_profile,
+from .transform import (AnalyticProfile, CallableProfile, _as_profile,
                         radial_fourier)
 
 __all__ = [
@@ -58,9 +61,6 @@ class CoefficientTable:
 
     def coefficient(self, ell):
         return dict(self.entries)[ell]
-
-    def as_dict(self):
-        return dict(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -115,8 +115,6 @@ def iterate_operator_symbolic(k):
 class DerivativeEngine:
     """Produces d^m/dt^m of a radial profile at a point, with an error bound."""
 
-    name = "engine"
-
     def derivatives(self, profile, t, max_order):
         """Return ([d0, d1, ..., d_max_order], error_bounds) at t."""
         raise NotImplementedError
@@ -125,26 +123,12 @@ class DerivativeEngine:
 class AnalyticEngine(DerivativeEngine):
     """Exact symbolic differentiation; profiles must carry an expression."""
 
-    name = "analytic"
-
-    def derivative_expression(self, profile, order=1):
-        e = profile.expression
-        if e is None:
-            raise EngineError("analytic engine needs an expression profile")
-        for _ in range(order):
-            e = _expr.simplify(e.diff())
-        return e
-
     def derivatives(self, profile, t, max_order):
         e = profile.expression
         if e is None:
             raise EngineError("analytic engine needs an expression profile")
-        out = []
-        for m in range(max_order + 1):
-            out.append(e.evaluate(t))
-            if m < max_order:
-                e = _expr.simplify(e.diff())
-        return out, [0.0] * (max_order + 1)
+        return ([d.evaluate(t) for d in _expr.derivatives(e, max_order)],
+                [0.0] * (max_order + 1))
 
 
 class ChebyshevEngine(DerivativeEngine):
@@ -153,8 +137,6 @@ class ChebyshevEngine(DerivativeEngine):
     The error bound per order multiplies the interpolant's coefficient tail
     by the spectral differentiation amplification (2/(b-a)) * degree^2.
     """
-
-    name = "chebyshev"
 
     def __init__(self, degree=64, interval=(0.1, 4.0)):
         a, b = interval
@@ -226,8 +208,6 @@ class CentralFDEngine(DerivativeEngine):
     difference between the two finest Richardson levels.
     """
 
-    name = "fd"
-
     def __init__(self, step=0.01, richardson_levels=2):
         if step <= 0:
             raise ValueError("step must be positive")
@@ -274,8 +254,6 @@ def default_engine(profile):
         return AnalyticEngine()
     grid = getattr(profile, "grid", None)
     if grid is not None:
-        if isinstance(getattr(profile, "engine", None), DerivativeEngine):
-            return profile.engine
         return ChebyshevEngine(degree=min(64, len(grid) - 1),
                                interval=(float(grid[0]), float(grid[-1])))
     return CentralFDEngine()
@@ -286,14 +264,32 @@ def default_engine(profile):
 
 @dataclass
 class LiftResult:
-    """Lift value, the symbolic derivative when available, and an error bound."""
+    """Lift value and the engine's error bounds propagated through the sum."""
 
     value: float
-    derivative: object = None  # Expression for the analytic path
     error_estimate: float = 0.0
 
     def __float__(self):
         return float(self.value)
+
+
+def _real(x):
+    x = complex(x)
+    return x.real if x.imag == 0.0 else x
+
+
+def _corollary_sum(profile, rho, k, engine):
+    """k steps at rho > 0: (2 pi)^-k sum_l c_(k,l) rho^(l-2k) (D^l profile)(rho)."""
+    engine = engine or default_engine(profile)
+    values, bounds = engine.derivatives(profile, float(rho), k)
+    scale = _TWO_PI ** (-k)
+    total = 0.0
+    err = 0.0
+    for ell, coeff in corollary_coefficients(k):
+        weight = float(coeff) * rho ** (ell - 2 * k) * scale
+        total += weight * values[ell]
+        err += abs(weight) * bounds[ell]
+    return LiftResult(_real(total), err)
 
 
 def lift_once(profile, r, engine=None):
@@ -301,23 +297,7 @@ def lift_once(profile, r, engine=None):
     profile = _as_profile(profile)
     if r <= 0:
         raise ValueError("lift_once needs r > 0; use lift_once_at_zero at the origin")
-    engine = engine or default_engine(profile)
-    (_, d1), (_, b1) = _pair(engine.derivatives(profile, float(r), 1))
-    value = -d1 / (_TWO_PI * r)
-    derivative = None
-    if isinstance(engine, AnalyticEngine):
-        derivative = engine.derivative_expression(profile)
-    return LiftResult(_real(value), derivative, abs(b1) / (_TWO_PI * r))
-
-
-def _pair(result):
-    values, bounds = result
-    return tuple(values), tuple(bounds)
-
-
-def _real(x):
-    x = complex(x)
-    return x.real if x.imag == 0.0 else x
+    return _corollary_sum(profile, r, 1, engine)
 
 
 def lift_once_symbolic(expression):
@@ -340,7 +320,9 @@ def lift_once_at_zero(profile, engine=None):
     profile = _as_profile(profile)
     engine = engine or default_engine(profile)
     if isinstance(engine, AnalyticEngine):
-        d2 = engine.derivative_expression(profile, 2)
+        if profile.expression is None:
+            raise EngineError("analytic engine needs an expression profile")
+        d2 = _expr.derivatives(profile.expression, 2)[2]
         try:
             val = d2.evaluate(0.0)
         except Exception:
@@ -351,21 +333,10 @@ def lift_once_at_zero(profile, engine=None):
             vals = [f(h) for h in (4e-2, 2e-2, 1e-2)]
             first = [(4.0 * b - a) / 3.0 for a, b in zip(vals, vals[1:])]
             val = (16.0 * first[1] - first[0]) / 15.0
-        return LiftResult(_real(-val / _TWO_PI), d2, 0.0)
-    even = CallableEvenView(profile)
-    (_, _, d2), (_, _, b2) = _pair(engine.derivatives(even, 0.0, 2))
-    return LiftResult(_real(-d2 / _TWO_PI), None, abs(b2) / _TWO_PI)
-
-
-class CallableEvenView(RadialProfile):
-    """Evaluate a profile at |t| so central stencils can straddle 0."""
-
-    def __init__(self, profile):
-        self._profile = profile
-        self.is_complex = profile.is_complex
-
-    def values(self, t):
-        return self._profile.values(np.abs(np.asarray(t, dtype=float)))
+        return LiftResult(_real(-val / _TWO_PI))
+    even = CallableProfile(lambda t: profile.values(np.abs(t)), profile.is_complex)
+    values, bounds = engine.derivatives(even, 0.0, 2)
+    return LiftResult(_real(-values[2] / _TWO_PI), abs(bounds[2]) / _TWO_PI)
 
 
 def lift_prediff(profile, n, r, spec=None, force=False):
@@ -380,10 +351,10 @@ def lift_prediff(profile, n, r, spec=None, force=False):
                           "(the input itself is differentiated)")
     if r <= 0:
         raise ValueError("r must be positive")
-    e = profile.expression
+    e, de = _expr.derivatives(profile.expression, 1)
     eta = _expr.simplify(_expr.Sum(
         _expr.Product(_expr.Constant(float(n)), e),
-        _expr.Product(_expr.S, e.diff())))
+        _expr.Product(_expr.S, de)))
     transformed = radial_fourier(AnalyticProfile(eta), n, r, spec, force)
     return _real(transformed / (_TWO_PI * r * r))
 
@@ -406,18 +377,5 @@ def lift_to_dimension(profile, base_dim, target_dim, rho, engine=None):
         raise ValueError("rho must be positive")
     k = step // 2
     if k == 0:
-        return LiftResult(_real(profile.values(np.asarray([rho]))[0]), None, 0.0)
-    engine = engine or default_engine(profile)
-    values, bounds = engine.derivatives(profile, float(rho), k)
-    table = corollary_coefficients(k)
-    scale = _TWO_PI ** (-k)
-    total = 0.0
-    err = 0.0
-    for ell, coeff in table:
-        weight = float(coeff) * rho ** (ell - 2 * k) * scale
-        total += weight * values[ell]
-        err += abs(weight) * bounds[ell]
-    derivative = None
-    if isinstance(engine, AnalyticEngine) and k == 1:
-        derivative = engine.derivative_expression(profile)
-    return LiftResult(_real(total), derivative, err)
+        return LiftResult(_real(profile.values(np.asarray([rho]))[0]))
+    return _corollary_sum(profile, rho, k, engine)

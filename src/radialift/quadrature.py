@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import Order, bessel_j_tilde, bessel_zeros
+from .bessel import _as_order, bessel_j_tilde, bessel_zeros
 from .errors import PoisonedEvaluationError
 
 __all__ = [
@@ -51,14 +51,13 @@ class QuadratureSpec:
     abs_tol: float = 1e-14
     max_panels: int = 2000
     max_oscillations: int = 500
-    accelerator_depth: int = 12
 
     def __post_init__(self):
         if min(self.rel_tol, self.abs_tol) <= 0:
             raise ValueError("tolerances must be positive")
         if self.rel_tol < 1e-15:
             raise ValueError("rel_tol below 1e-15 is not resolvable")
-        if min(self.max_panels, self.max_oscillations, self.accelerator_depth) <= 0:
+        if min(self.max_panels, self.max_oscillations) <= 0:
             raise ValueError("budget limits must be positive")
 
     def tolerance(self, scale):
@@ -277,17 +276,19 @@ def _tidy(value):
 # ---------------------------------------------------------------------------
 # Wynn epsilon acceleration
 
+_WYNN_DEPTH = 12
+
+
 class _WynnEpsilon:
     """Streaming epsilon table; feed partial sums, read the deepest estimate."""
 
-    def __init__(self, depth):
-        self.depth = max(2, depth)
+    def __init__(self):
         self.diagonal = []
 
     def add(self, s):
         prev = self.diagonal
         col = [complex(s)]
-        for k in range(min(len(prev), 2 * self.depth)):
+        for k in range(min(len(prev), 2 * _WYNN_DEPTH)):
             delta = col[k] - prev[k]
             if abs(delta) < 1e-305:
                 break
@@ -311,32 +312,58 @@ class _HalfLine:
                  "accel_deltas", "small_streak", "grow_streak", "max_seg",
                  "last_seg")
 
-    def __init__(self, spec, head_value, head_err, head_evals):
+    def __init__(self, spec):
         self.spec = spec
-        self.partial = complex(head_value)
-        self.evals = head_evals
-        self.panel_err = head_err
-        self.wynn = _WynnEpsilon(spec.accelerator_depth)
-        self.accel = self.wynn.add(self.partial)
+        self.partial = 0j
+        self.evals = 0
+        self.panel_err = 0.0
+        self.wynn = _WynnEpsilon()
+        self.accel = None
         self.accel_deltas = []
         self.small_streak = 0
         self.grow_streak = 0
         self.max_seg = 0.0
         self.last_seg = 0.0
 
+    def _truncate(self, a):
+        """The far-tail rule: an integrand that fails at t = a after three
+        consecutive negligible contributions ends the sum there, with a
+        warning; sooner, it raises PoisonedEvaluationError."""
+        if self.small_streak < 3:
+            raise PoisonedEvaluationError(a)
+        warnings.warn("integrand failed in the far tail; truncating "
+                      f"at t={a:.3g} after negligible contributions",
+                      RuntimeWarning, stacklevel=4)
+        return QuadratureResult(_tidy(self.partial),
+                                self.panel_err + abs(self.last_seg),
+                                self.evals, True)
+
+    def add_head(self, a, part):
+        """Fold in the head window that starts at t = a and integrated to
+        ``part`` (None where the integrand gave NaN); a result if the
+        far-tail rule ends the sum there, else None."""
+        if part is None:
+            return self._truncate(a)
+        self.partial += complex(part.value)
+        self.panel_err += part.error_estimate
+        self.evals += part.evaluations
+        self.last_seg = abs(part.value)
+        self.small_streak = (self.small_streak + 1
+                             if self.last_seg <= self.spec.abs_tol else 0)
+        return None
+
+    def start_rounds(self):
+        """Seed the epsilon table with the head sum; the head's negligible
+        windows do not count towards the exits of the rounds."""
+        self.accel = self.wynn.add(self.partial)
+        self.small_streak = 0
+
     def add(self, k, a, seg):
         """Fold in segment k, which starts at t = a and integrated to ``seg``
         (None where the integrand gave NaN); a result once done, else None."""
         spec = self.spec
         if seg is None or not cmath.isfinite(seg.value):
-            if self.small_streak >= 3:
-                warnings.warn("integrand failed in the far tail; truncating "
-                              f"at t={a:.3g} after negligible contributions",
-                              RuntimeWarning, stacklevel=3)
-                return QuadratureResult(_tidy(self.partial),
-                                        self.panel_err + abs(self.last_seg),
-                                        self.evals, True)
-            raise PoisonedEvaluationError(a)
+            return self._truncate(a)
         self.evals += seg.evaluations
         self.panel_err += seg.error_estimate
         self.partial += complex(seg.value)
@@ -388,15 +415,14 @@ class _HalfLine:
                                 self.evals, False)
 
 
-def _windows(width=1.0):
-    """The windows [0, 1], [1, 3], [3, 7], ... (for width 1): each starts
-    where the last ended, and past t = 1 each is twice as wide."""
-    a = 0.0
+def _windows():
+    """The windows [0, 1], [1, 3], [3, 7], ...: each starts where the last
+    ended and is twice as wide."""
+    a, width = 0.0, 1.0
     while True:
         yield a, a + width
         a += width
-        if a >= 1.0:
-            width *= 2.0
+        width *= 2.0
 
 
 def _head_windows(end):
@@ -416,11 +442,11 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
     array of them, giving a list with one result per omega.  The integrand
     receives the nodes as a (panels, 15) array and, as a (panels, 1) column,
     the omega each panel belongs to.
-    Segments whose integrand overflows are truncated (with a warning) once
-    three consecutive contributions fall below abs_tol.
+    Segments or head windows whose integrand overflows are truncated (with
+    a warning) once three consecutive contributions fall below abs_tol.
     """
     spec = spec or DEFAULT_SPEC
-    order = nu if isinstance(nu, Order) else Order(int(round(2 * nu)))
+    order = _as_order(nu)
     omegas = np.asarray(omega, dtype=float)
     scalar = omegas.ndim == 0
     omegas = np.atleast_1d(omegas)
@@ -432,28 +458,24 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
     chunk = 64
     zeros = np.array(bessel_zeros(order, chunk))
     inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                           max_panels=200, max_oscillations=spec.max_oscillations,
-                           accelerator_depth=spec.accelerator_depth)
+                           max_panels=200, max_oscillations=spec.max_oscillations)
 
     # a head longer than 1 is integrated window by window, so that a
     # profile living near 0 is seen even when omega is tiny
     windows = [(i, a, b) for i, end in enumerate((zeros[0] / omegas).tolist())
                for a, b in _head_windows(end)]
     owner, lo, hi = zip(*windows)
-    heads = [[0.0, 0.0, 0] for _ in range(omegas.size)]
+    lines = [_HalfLine(spec) for _ in range(omegas.size)]
+    results = [None] * omegas.size
     for i, a, part in zip(owner, lo, integrate_finite(
             integrand, np.array(lo), np.array(hi), inner, omegas[list(owner)])):
-        if part is None:
-            raise PoisonedEvaluationError(a)
-        head = heads[i]
-        head[0] += part.value
-        head[1] += part.error_estimate
-        head[2] += part.evaluations
-    lines = [_HalfLine(spec, *head) for head in heads]
-    results = [None] * omegas.size
+        if results[i] is None:  # an omega whose head ends in NaN skips the rounds
+            results[i] = lines[i].add_head(a, part)
 
-    running = list(range(omegas.size))
-    w = omegas
+    running = [i for i, done in enumerate(results) if done is None]
+    for i in running:
+        lines[i].start_rounds()
+    w = omegas[running]
     k = 0
     while k < spec.max_oscillations and running:
         k += 1
@@ -479,7 +501,7 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
 def integrate_bessel_halfline(g, nu, omega, spec=None):
     """Integral of g(t) * Jt_nu(omega t) over [0, inf); omega as in
     ``split_halfline_at_zeros``."""
-    order = nu if isinstance(nu, Order) else Order(int(round(2 * nu)))
+    order = _as_order(nu)
 
     def integrand(t, w):
         # flat arrays: Bessel evaluation is slower on 2-d ones
@@ -489,11 +511,13 @@ def integrate_bessel_halfline(g, nu, omega, spec=None):
     return split_halfline_at_zeros(integrand, order, omega, spec)
 
 
-def integrate_halfline_decaying(f, spec=None, start_width=1.0):
+def integrate_halfline_decaying(f, spec=None):
     """Integral over [0, inf) of a non-oscillatory decaying integrand.
 
-    Doubling segments are added until three consecutive contributions are
-    negligible against the running total.
+    The windows [0, 1], [1, 3], [3, 7], ... are added until three
+    consecutive ones are negligible against the running total, each no
+    larger than the one before, so that a profile living away from 0 is
+    reached before the sum stops.
     """
     spec = spec or DEFAULT_SPEC
     inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
@@ -502,7 +526,8 @@ def integrate_halfline_decaying(f, spec=None, start_width=1.0):
     err = 0.0
     evals = 0
     small = 0
-    for a, b in _windows(start_width):
+    last = math.inf
+    for a, b in _windows():
         if a >= 1e8:
             return QuadratureResult(_tidy(total), err + abs(seg.value), evals,
                                     False)
@@ -510,10 +535,11 @@ def integrate_halfline_decaying(f, spec=None, start_width=1.0):
         total += complex(seg.value)
         err += seg.error_estimate
         evals += seg.evaluations
-        if abs(seg.value) <= max(spec.abs_tol, 0.01 * spec.rel_tol * abs(total)):
+        size = abs(seg.value)
+        if size <= min(last, max(spec.abs_tol, 0.01 * spec.rel_tol * abs(total))):
             small += 1
             if small >= 3:
-                return QuadratureResult(_tidy(total), err + abs(seg.value),
-                                        evals, True)
+                return QuadratureResult(_tidy(total), err + size, evals, True)
         else:
             small = 0
+        last = size

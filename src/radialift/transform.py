@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .bessel import Order, bessel_j, jtilde_at_zero
+from .bessel import Order, _as_order, bessel_j, jtilde_at_zero
 from .errors import ConvergenceError, IntegrabilityError
 from .quadrature import (QuadratureSpec, QuadratureResult, integrate_finite,
                          integrate_bessel_halfline, integrate_halfline_decaying,
@@ -104,7 +104,7 @@ class SampledProfile(RadialProfile):
     spline extrapolates.
     """
 
-    def __init__(self, grid, samples, engine=None):
+    def __init__(self, grid, samples):
         grid = np.asarray(grid, dtype=float)
         samples = np.asarray(samples, dtype=float)
         if grid.ndim != 1 or grid.size < 8:
@@ -117,7 +117,6 @@ class SampledProfile(RadialProfile):
             raise ValueError("samples must match the grid")
         self.grid = grid
         self.samples = samples
-        self.engine = engine
         from scipy.interpolate import CubicSpline  # slow import, loaded on use
         # not-a-knot keeps the short extrapolation down to t=0 at spline
         # accuracy; a natural boundary would force f''=0 there
@@ -362,7 +361,7 @@ def hankel_result(f, nu, r, spec=None):
     an independent code path from radial_fourier.
     """
     profile = _as_profile(f)
-    order = nu if isinstance(nu, Order) else Order(int(round(2 * float(nu))))
+    order = _as_order(nu)
     if np.ndim(r) != 0:
         raise TypeError("r must be a scalar; map over grids explicitly")
     r = float(r)

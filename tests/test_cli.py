@@ -160,18 +160,6 @@ def test_lift_gaussian_corollary(capsys):
     assert row["method"] == "corollary"
 
 
-def test_lift_engine_flags(capsys):
-    for engine, tag, tol in (("chebyshev", "lift-chebyshev", 1e-8),
-                             ("fd", "lift-fd", 1e-7)):
-        code, out, _ = run_cli(capsys, "lift", "--profile", "exp(-pi*s^2)",
-                               "--from", "1", "--to", "3", "--grid", "1:1:1",
-                               "--engine", engine)
-        assert code == EXIT_OK
-        row = read_csv(out)[0]
-        assert row["method"] == tag
-        assert abs(row["value_re"] - math.exp(-math.pi)) < tol
-
-
 def test_kernel_resolvent_g5(capsys):
     code, out, _ = run_cli(capsys, "kernel", "--resolvent", "-1", "--dim", "5",
                            "--grid", "1:1:1")
@@ -269,12 +257,12 @@ def test_deterministic_output(capsys):
 
 
 def test_verify_suites(capsys):
-    code, out, _ = run_cli(capsys, "verify", "coeffs")
+    code, out, _ = run_cli(capsys, "verify", "all")
     assert code == EXIT_OK
-    assert "PASS coeffs.oracle-equality" in out
-    code, out, _ = run_cli(capsys, "verify", "bessel")
-    assert code == EXIT_OK
-    assert "PASS bessel.derivative-identity" in out
+    assert "FAIL" not in out
+    for suite in ("bessel", "recursion", "coeffs", "kernels", "transform"):
+        assert f"PASS {suite}." in out, suite
+    assert out.rstrip().endswith("verification passed")
 
 
 def test_module_entry_point():

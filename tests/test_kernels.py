@@ -177,8 +177,13 @@ def test_multiplier_resolvent_agreement():
 
 
 def test_multiplier_gate_warning():
-    with pytest.warns(RuntimeWarning):
-        kernel_of_multiplier("1/(s+1)", 3, 1.0)
+    # one gate, one warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = kernel_of_multiplier("1/(s+1)", 3, 1.0)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "gate failure" in str(caught[0].message)
+    assert abs(value - resolvent_kernel(3, -1.0, 1.0)) < 1e-6
 
 
 def test_weierstrass_normalization():

@@ -7,7 +7,7 @@ import pytest
 import scipy.special as sp
 
 from radialift.bessel import Order
-from radialift.errors import PoisonedEvaluationError
+from radialift.errors import PoisonedEvaluationError, UnsupportedOrderError
 from radialift.quadrature import (QuadratureResult, QuadratureSpec,
                                   integrate_bessel_halfline, integrate_finite,
                                   integrate_halfline_decaying,
@@ -203,10 +203,38 @@ def test_halfline_nan_in_one_omega_poisons_the_batch():
         integrate_bessel_halfline(g, Order(0), np.array([5.0, 1.0]))
 
 
+def test_halfline_head_nan_after_negligible_windows_truncates():
+    # a head [0, (pi/2) / omega] of 1.6e5 windows past where e^-t is 0
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 1000.0, np.nan, np.exp(-t))
+
+    omegas = np.array([1e-5, 0.5])
+    with pytest.warns(RuntimeWarning, match="far tail"):
+        batch = integrate_bessel_halfline(g, Order(-1), omegas)
+    for omega, res in zip(omegas, batch):
+        assert res.converged
+        assert abs(res.value - SQ2PI / (1.0 + omega * omega)) < 1e-12, omega
+    # NaN before three negligible windows still poisons
+    early = lambda t: np.where(np.asarray(t) > 2.0, np.nan, np.exp(-t))
+    with pytest.raises(PoisonedEvaluationError):
+        integrate_bessel_halfline(early, Order(-1), 1e-5)
+
+
+def test_halfline_order_is_not_rounded():
+    with pytest.raises(UnsupportedOrderError):
+        integrate_bessel_halfline(lambda t: np.exp(-t), 0.3, 1.0)
+    with pytest.raises(UnsupportedOrderError):
+        split_halfline_at_zeros(lambda t, w: np.exp(-t), 0.3, 1.0)
+
+
 def test_decaying_halfline():
-    res = integrate_halfline_decaying(lambda t: np.exp(-t))
-    assert res.converged
-    assert abs(res.value - 1.0) < 1e-12
+    # e^-(t-20)^2 is below abs_tol on [0, 1], [1, 3] and [3, 7], but growing
+    for f, exact in ((lambda t: np.exp(-t), 1.0),
+                     (lambda t: np.exp(-(t - 20.0) ** 2), math.sqrt(math.pi))):
+        res = integrate_halfline_decaying(f)
+        assert res.converged
+        assert abs(res.value - exact) < 1e-12
 
 
 # ---------------------------------------------------------------------------
