@@ -4,14 +4,16 @@ Orders are integer or half-integer with nu >= -1/2, which is exactly what the
 radial transform needs (nu = n/2 - 1 for dimension n >= 1).  Evaluation
 strategy, chosen for absolute accuracy <= 1e-12 up to x = 1e4:
 
-* x < 1 (any order) and x <= 14 (integer orders): power series of Jt_nu,
-  accumulated in extended precision to beat the cancellation near the
-  upper end of the range.
-* half-integer orders, x >= 1: closed forms for nu = -1/2, 1/2
-  (sqrt(2/(pi x)) cos x and sqrt(2/(pi x)) sin x), then the three-term
-  recurrence: upward when x >= nu, downward Miller-style otherwise.
-* integer orders, x > 14: Hankel asymptotic expansion for J_0, J_1,
-  then the same recurrence policy for higher orders.
+* x < 1 (half-integer orders) and x <= 14 (integer orders): power series of
+  Jt_nu, accumulated in extended precision to beat the cancellation near
+  the upper end of the range.
+* beyond that, one climb from the kernels of dimensions 1 and 2: every
+  order is reached from nu0 = -1/2 (half-integer orders, anchored by the
+  closed forms sqrt(2/(pi x)) cos x and sqrt(2/(pi x)) sin x) or nu0 = 0
+  (integer orders, anchored by Hankel's expansion of J_0 and J_1) by the
+  three-term recurrence, whose step nu -> nu + 1 is the step n -> n + 2 of
+  the dimension recursion F_(n+2) = -(1/(2 pi r)) dF_n/dr.  The climb runs
+  upward where x >= nu and downward Miller-style below that.
 
 The series/asymptotic switch sits at 14 because the optimally truncated
 asymptotic series bottoms out near 5e-13 at x = 12; at 14 both branches
@@ -101,7 +103,7 @@ def _jtilde_series(nu, x):
 
 
 # ---------------------------------------------------------------------------
-# Hankel asymptotic expansion for integer orders 0 and 1 (x large)
+# the anchors: Hankel's expansion for orders 0 and 1, closed forms for -1/2, 1/2
 
 def _j_asymptotic(nu_int, x):
     """J_nu for nu in {0, 1} on an ndarray, x > ~10."""
@@ -126,94 +128,53 @@ def _j_asymptotic(nu_int, x):
     return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
-# ---------------------------------------------------------------------------
-# recurrences
-
-def _recur_upward(j_lo, j_hi, nu_lo, steps, x):
-    """From (J_{nu_lo}, J_{nu_lo+1}) step the order up; returns J at the top."""
-    for i in range(steps):
-        nu = nu_lo + 1 + i
-        j_lo, j_hi = j_hi, (2.0 * nu / x) * j_hi - j_lo
-    return j_hi
-
-
-def _miller_downward(target_idx, base_idx, nu_of, base_value_fn, x):
-    """Downward (Miller) recurrence on an ndarray x.
-
-    Orders are indexed so that nu_of(i) is increasing; recur from a trial
-    start well above target_idx down to base_idx, then rescale with the
-    independently known values at base_idx and base_idx+1 (the larger of
-    the two anchors wins, which keeps the normalization away from zeros).
-    """
-    x = np.asarray(x, dtype=float)
-    start = target_idx + max(18, target_idx // 2 + 10)
-    j_hi = np.zeros_like(x)
-    j_lo = np.full_like(x, 1e-30)
-    out = None
-    anchor0 = anchor1 = None
-    for i in range(start, base_idx - 1, -1):
-        # j_lo currently holds trial J at index i
-        if i == target_idx:
-            out = j_lo.copy()
-        if i == base_idx + 1:
-            anchor1 = j_lo.copy()
-        if i == base_idx:
-            anchor0 = j_lo.copy()
-            break
-        nu = nu_of(i)
-        j_lo, j_hi = (2.0 * nu / x) * j_lo - j_hi, j_lo
-    true0 = base_value_fn(base_idx, x)
-    true1 = base_value_fn(base_idx + 1, x)
-    use0 = np.abs(true0) >= np.abs(true1)
-    denom = np.where(use0, anchor0, anchor1)
-    truth = np.where(use0, true0, true1)
-    scale = np.where(denom != 0, truth / np.where(denom != 0, denom, 1.0), 0.0)
-    return out * scale
-
-
-def _halfint_closed(idx, x):
-    """J at half-integer index: idx 0 -> nu=-1/2, idx 1 -> nu=1/2."""
+def _halfint_closed(k, x):
+    """J_(k - 1/2) for k in {0, 1} on an ndarray: sqrt(2/(pi x)) cos x or sin x."""
     amp = np.sqrt(2.0 / (math.pi * x))
-    return amp * np.cos(x) if idx == 0 else amp * np.sin(x)
+    return amp * np.cos(x) if k == 0 else amp * np.sin(x)
 
 
-def _j_halfint_large(twice_nu, x):
-    """Half-integer J_nu on ndarray x >= 1 via closed forms + recurrence."""
-    idx = (twice_nu + 1) // 2          # nu = idx - 1/2
-    if idx <= 1:
-        return _halfint_closed(idx, x)
-    nu = twice_nu / 2.0
+# ---------------------------------------------------------------------------
+# the climb from the orders -1/2 and 0
+
+def _j_large(order, x):
+    """J_nu on an ndarray x in the large-argument regime.
+
+    nu = nu0 + steps climbs from nu0 = -1/2 (half-integer orders, closed
+    forms) or nu0 = 0 (integer orders, Hankel's expansion) by the three-term
+    recurrence J_(m-1) + J_(m+1) = (2 m / x) J_m.  Upward where x >= nu;
+    below that the upward climb loses digits, so the Miller recurrence runs
+    down from a trial start well above nu and is rescaled by the larger of
+    the two true anchors, which keeps the normalization away from their zeros.
+    """
+    nu0, anchor = ((-0.5, _halfint_closed) if order.is_half_integer
+                   else (0.0, _j_asymptotic))
+    steps = (order.twice_nu + 1) // 2
+    if steps <= 1:
+        return anchor(steps, x)
     out = np.empty_like(x)
-    up = x >= nu
+    up = x >= order.nu
     if np.any(up):
         xs = x[up]
-        out[up] = _recur_upward(_halfint_closed(0, xs), _halfint_closed(1, xs),
-                                -0.5, idx - 1, xs)
+        j_lo, j_hi = anchor(0, xs), anchor(1, xs)
+        for k in range(1, steps):
+            j_lo, j_hi = j_hi, (2.0 * (nu0 + k) / xs) * j_hi - j_lo
+        out[up] = j_hi
     if np.any(~up):
         xs = x[~up]
-        out[~up] = _miller_downward(idx, 0, lambda i: i - 0.5,
-                                    _halfint_closed, xs)
-    return out
-
-
-def _int_anchor(idx, x):
-    return _j_asymptotic(idx, x)
-
-
-def _j_int_large(nu_int, x):
-    """Integer J_nu on ndarray x > switch point."""
-    if nu_int <= 1:
-        return _j_asymptotic(nu_int, x)
-    out = np.empty_like(x)
-    up = x >= nu_int
-    if np.any(up):
-        xs = x[up]
-        out[up] = _recur_upward(_j_asymptotic(0, xs), _j_asymptotic(1, xs),
-                                0.0, nu_int - 1, xs)
-    if np.any(~up):
-        xs = x[~up]
-        out[~up] = _miller_downward(nu_int, 0, lambda i: float(i),
-                                    _int_anchor, xs)
+        j_hi = np.zeros_like(xs)
+        j_lo = np.full_like(xs, 1e-30)
+        for k in range(steps + max(18, steps // 2 + 10), 0, -1):
+            if k == steps:
+                top = j_lo
+            # from the trial J_(nu0+k) (j_lo) and J_(nu0+k+1) down to J_(nu0+k-1)
+            j_lo, j_hi = (2.0 * (nu0 + k) / xs) * j_lo - j_hi, j_lo
+        true0, true1 = anchor(0, xs), anchor(1, xs)
+        use0 = np.abs(true0) >= np.abs(true1)
+        denom = np.where(use0, j_lo, j_hi)
+        truth = np.where(use0, true0, true1)
+        out[~up] = top * np.where(
+            denom != 0, truth / np.where(denom != 0, denom, 1.0), 0.0)
     return out
 
 
@@ -241,9 +202,7 @@ def _jtilde_array(order, x):
         out[small] = _jtilde_series(nu, x[small])
     if np.any(~small):
         xs = x[~small]
-        j = _j_halfint_large(order.twice_nu, xs) if order.is_half_integer \
-            else _j_int_large(order.twice_nu // 2, xs)
-        out[~small] = j * xs ** (-nu)
+        out[~small] = _j_large(order, xs) * xs ** (-nu)
     return out
 
 

@@ -517,7 +517,10 @@ def integrate_halfline_decaying(f, spec=None):
     The windows [0, 1], [1, 3], [3, 7], ... are added until three
     consecutive ones are negligible against the running total, each no
     larger than the one before, so that a profile living away from 0 is
-    reached before the sum stops.
+    reached before the sum stops.  A window counts only once the total is
+    nonzero: a profile that lives past t ~ 27 reads exactly 0 on the first
+    windows.  An integrand that reads 0 up to t = 1e8 ends there, converged
+    if its estimate meets the tolerance.
     """
     spec = spec or DEFAULT_SPEC
     inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
@@ -529,14 +532,16 @@ def integrate_halfline_decaying(f, spec=None):
     last = math.inf
     for a, b in _windows():
         if a >= 1e8:
-            return QuadratureResult(_tidy(total), err + abs(seg.value), evals,
-                                    False)
+            err += abs(seg.value)
+            return QuadratureResult(_tidy(total), err, evals,
+                                    err <= spec.tolerance(total))
         seg = integrate_finite(f, a, b, inner)
         total += complex(seg.value)
         err += seg.error_estimate
         evals += seg.evaluations
         size = abs(seg.value)
-        if size <= min(last, max(spec.abs_tol, 0.01 * spec.rel_tol * abs(total))):
+        if total and size <= min(last, max(spec.abs_tol,
+                                           0.01 * spec.rel_tol * abs(total))):
             small += 1
             if small >= 3:
                 return QuadratureResult(_tidy(total), err + size, evals, True)

@@ -67,6 +67,39 @@ def test_accuracy_against_scipy_grid():
         assert err < 1e-12, (twice_nu, err)
 
 
+def _below_order_points(order):
+    """x < nu inside the recurrence regime, where J_nu is far below 1e-12
+    at high orders, plus the zeros there of the two anchors, where the
+    Miller normalization switches anchor."""
+    nu = order.nu
+    if order.is_half_integer:
+        lo = 1.0
+        anchor_zeros = np.concatenate([math.pi * (np.arange(1, 40) - 0.5),
+                                       math.pi * np.arange(1, 40)])
+    else:
+        lo = 14.01
+        anchor_zeros = np.concatenate([sp.jn_zeros(0, 20), sp.jn_zeros(1, 20)])
+    if nu <= lo:
+        return np.array([])
+    grid = np.linspace(lo, nu, 6, endpoint=False)
+    return np.concatenate([grid, anchor_zeros[(anchor_zeros > lo)
+                                              & (anchor_zeros < nu)]])
+
+
+def test_relative_accuracy_below_the_order():
+    # J_nu(x) << 1e-12 for x well below nu, so the absolute check above
+    # says nothing there
+    for twice_nu in range(-1, 121):
+        order = Order(twice_nu)
+        xs = _below_order_points(order)
+        if xs.size == 0:
+            continue
+        got = bessel_j_tilde(order, xs)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            ref = float(mpmath.besselj(order.nu, x) * mpmath.mpf(x) ** -order.nu)
+            assert abs(value - ref) <= 1e-12 * abs(ref), (twice_nu, x)
+
+
 def test_accuracy_against_mpmath_spots():
     # independent high-precision reference, including the switch region and 1e4
     rng = np.random.default_rng(7)
