@@ -28,7 +28,6 @@ ceiling.  All functions are pure; the zero cache only grows.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,8 +230,9 @@ def bessel_j(nu, x):
 # ---------------------------------------------------------------------------
 # zeros
 
+# entries are replaced by longer lists, never mutated: concurrent callers
+# at worst find the same zeros twice
 _zero_cache = {}
-_zero_lock = threading.Lock()
 
 # Spacing of the scan grid.  It is below j_(nu,1) >= pi/2 and below the
 # smallest gap between consecutive zeros (about 3.1, at nu = 0), so each grid
@@ -285,28 +285,27 @@ def bessel_zeros(nu, count):
     order = _as_order(nu)
     if count < 1:
         raise ValueError("count must be >= 1")
-    with _zero_lock:
-        known = _zero_cache.get(order.twice_nu, [])
-        if len(known) >= count:
-            return list(known[:count])
-        missing = count - len(known)
-        prev = known[-1] if known else 0.0
-        # the next zero lies more than one grid step beyond the last known one
-        start = prev + _SCAN_STEP if known else 0.0
-        brackets = [v[:missing] for v in _sign_change_brackets(order, start, count)]
-        if brackets[0].size < missing:
-            raise ZeroFindingError(len(known) + brackets[0].size + 1,
-                                   "could not bracket a sign change")
-        roots = _refine_roots(order, *brackets)
-        steps = np.diff(np.concatenate(([prev], roots)))
-        if np.any(steps <= 0):
-            raise ZeroFindingError(len(known) + int(np.argmax(steps <= 0)) + 1,
-                                   "zeros not increasing")
-        residual = np.abs(bessel_j(order, roots))
-        if np.any(residual > 1e-12):
-            bad = int(np.argmax(residual > 1e-12))
-            raise ZeroFindingError(len(known) + bad + 1,
-                                   f"residual {residual[bad]:.2e} above 1e-12")
-        zeros = known + roots.tolist()
-        _zero_cache[order.twice_nu] = zeros
-        return list(zeros)
+    known = _zero_cache.get(order.twice_nu, [])
+    if len(known) >= count:
+        return list(known[:count])
+    missing = count - len(known)
+    prev = known[-1] if known else 0.0
+    # the next zero lies more than one grid step beyond the last known one
+    start = prev + _SCAN_STEP if known else 0.0
+    brackets = [v[:missing] for v in _sign_change_brackets(order, start, count)]
+    if brackets[0].size < missing:
+        raise ZeroFindingError(len(known) + brackets[0].size + 1,
+                               "could not bracket a sign change")
+    roots = _refine_roots(order, *brackets)
+    steps = np.diff(np.concatenate(([prev], roots)))
+    if np.any(steps <= 0):
+        raise ZeroFindingError(len(known) + int(np.argmax(steps <= 0)) + 1,
+                               "zeros not increasing")
+    residual = np.abs(bessel_j(order, roots))
+    if np.any(residual > 1e-12):
+        bad = int(np.argmax(residual > 1e-12))
+        raise ZeroFindingError(len(known) + bad + 1,
+                               f"residual {residual[bad]:.2e} above 1e-12")
+    zeros = known + roots.tolist()
+    _zero_cache[order.twice_nu] = zeros
+    return list(zeros)

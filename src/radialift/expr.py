@@ -25,8 +25,8 @@ from .errors import EvaluationDomainError, ExpressionSyntaxError, UnknownIdentif
 __all__ = [
     "Expression", "Constant", "Variable", "Sum", "Product", "Quotient",
     "Negate", "IntegerPower", "Power", "Apply", "S",
-    "parse", "evaluate", "differentiate", "derivatives", "simplify", "func",
-    "const", "FUNCTION_NAMES",
+    "parse", "evaluate", "differentiate", "derivatives", "simplify",
+    "FUNCTION_NAMES",
 ]
 
 
@@ -90,46 +90,6 @@ class Expression:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self._text()!r}>"
-
-    # -- operator sugar for programmatic construction ------------------------
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, Expression):
-            return value
-        return Constant(value)
-
-    def __add__(self, other):
-        return Sum(self, self._coerce(other))
-
-    def __radd__(self, other):
-        return Sum(self._coerce(other), self)
-
-    def __sub__(self, other):
-        return Sum(self, Negate(self._coerce(other)))
-
-    def __rsub__(self, other):
-        return Sum(self._coerce(other), Negate(self))
-
-    def __mul__(self, other):
-        return Product(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return Product(self._coerce(other), self)
-
-    def __truediv__(self, other):
-        return Quotient(self, self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return Quotient(self._coerce(other), self)
-
-    def __neg__(self):
-        return Negate(self)
-
-    def __pow__(self, n):
-        if isinstance(n, int):
-            return IntegerPower(self, n)
-        return Power(self, self._coerce(n))
 
 
 class Constant(Expression):
@@ -417,15 +377,6 @@ class Apply(Expression):
 
     def _text(self):
         return f"{self.name}({self.arg._text()})"
-
-
-def func(name, arg):
-    """Apply a builtin function to an expression (coercing scalars)."""
-    return Apply(name, Expression._coerce(arg))
-
-
-def const(value):
-    return Constant(value)
 
 
 # ---------------------------------------------------------------------------

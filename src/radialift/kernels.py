@@ -27,8 +27,8 @@ failed probe downgrades to a warning and the oscillatory engine decides.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,35 +92,17 @@ def _projection_base(n, energy):
     raise ValueError(n)
 
 
-_catalog_lock = threading.Lock()
-_resolvent_cache = {}
-_projection_cache = {}
-_sech_cache = {1: _expr.parse("sech(pi*s)"),
-               3: _expr.parse("sech(pi*s)*tanh(pi*s)/(2*s)")}
-
-
-def _lift_chain(base_expr, base_n, target_n):
-    e = base_expr
-    for _ in range((target_n - base_n) // 2):
-        e = lift_once_symbolic(e)
-    return e
-
-
+@functools.cache
 def resolvent_profile(n, z):
     """Expression for the resolvent kernel in odd dimension n <= 9."""
     if n % 2 == 0 or not 1 <= n <= _RESOLVENT_MAX_DIM:
         raise ValueError(f"resolvent catalog covers odd n <= {_RESOLVENT_MAX_DIM}, got {n}")
     if n <= 5:
         return _resolvent_base(n, z)
-    key = (n, complex(z))
-    with _catalog_lock:
-        e = _resolvent_cache.get(key)
-        if e is None:
-            e = _lift_chain(_resolvent_base(5, z), 5, n)
-            _resolvent_cache[key] = e
-    return e
+    return lift_once_symbolic(resolvent_profile(n - 2, z))
 
 
+@functools.cache
 def projection_profile(n, energy):
     """Expression for the spectral projection kernel in odd dimension n <= 7."""
     if n % 2 == 0 or not 1 <= n <= _PROJECTION_MAX_DIM:
@@ -129,26 +111,19 @@ def projection_profile(n, energy):
         raise ValueError("projection energy must be positive")
     if n <= 3:
         return _projection_base(n, energy)
-    key = (n, float(energy))
-    with _catalog_lock:
-        e = _projection_cache.get(key)
-        if e is None:
-            e = _lift_chain(_projection_base(3, energy), 3, n)
-            _projection_cache[key] = e
-    return e
+    return lift_once_symbolic(projection_profile(n - 2, energy))
 
 
+@functools.cache
 def sech_transform_profile(n):
     """Transform of sech(pi |x|) in odd dimension n (generated above n=3)."""
     if n % 2 == 0 or n < 1:
         raise ValueError("sech transforms are cataloged for odd n")
-    with _catalog_lock:
-        e = _sech_cache.get(n)
-        if e is None:
-            base = max(k for k in _sech_cache if k <= n)
-            e = _lift_chain(_sech_cache[base], base, n)
-            _sech_cache[n] = e
-    return e
+    if n == 1:
+        return _expr.parse("sech(pi*s)")
+    if n == 3:
+        return _expr.parse("sech(pi*s)*tanh(pi*s)/(2*s)")
+    return lift_once_symbolic(sech_transform_profile(n - 2))
 
 
 def resolvent_kernel(n, z, r):

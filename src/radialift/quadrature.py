@@ -113,42 +113,39 @@ _WG = np.array([
 _NODES = _XGK.size
 
 
-def _call_integrand(f, x, *extra):
-    """Evaluate f on ndarray x and arguments that broadcast against it,
-    tolerating scalar-only callables."""
+def _call_integrand(f, x):
+    """Evaluate f on the 1-d ndarray x, tolerating scalar-only callables."""
     try:
-        y = np.asarray(f(x, *extra))
+        y = np.asarray(f(x))
         if y.shape != x.shape:
             raise ValueError
         return y
     except (TypeError, ValueError, IndexError):
-        args = [np.broadcast_to(v, x.shape).ravel() for v in (x, *extra)]
-        return np.asarray([f(*map(float, point))
-                           for point in zip(*args)]).reshape(x.shape)
+        return np.asarray([f(float(v)) for v in x])
 
 
 def _kronrod_panels(f, lo, hi, keys):
     """One Gauss-Kronrod panel on each [lo_i, hi_i], all in one integrand call.
 
-    Without ``keys`` f gets the nodes flat; with them it gets the nodes as a
-    (panels, 15) array and the keys as a (panels, 1) column.  Returns the
-    Kronrod values and the embedded-rule error estimates as lists, and the
-    nodes and integrand values as (panels, 15) arrays.
+    Without ``keys`` f gets the nodes flat, and a scalar-only f is called
+    node by node; with them f is one of this package's vectorized
+    integrands and gets the nodes as a (panels, 15) array and the keys as a
+    (panels, 1) column.  Returns the Kronrod values and the embedded-rule
+    error estimates as lists, and the nodes and integrand values as
+    (panels, 15) arrays.
     """
-    mid = 0.5 * (lo + hi)
+    # halves first: lo + hi overflows once both ends pass ~9e307
+    mid = 0.5 * lo + 0.5 * hi
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XGK
     y = _call_integrand(f, nodes.ravel()).reshape(nodes.shape) if keys is None \
-        else _call_integrand(f, nodes, keys[:, None])
-    kron_sums = np.add.reduce(_WGK * y, axis=1).tolist()
+        else f(nodes, keys[:, None])
+    kron = half * np.add.reduce(_WGK * y, axis=1)
     # the 7 Gauss nodes are the odd-indexed Kronrod nodes
-    gauss_sums = np.add.reduce(_WG * y[:, 1::2], axis=1).tolist()
-    kron, err = [], []
-    for h, k, g in zip(half.tolist(), kron_sums, gauss_sums):
-        k = h * k
-        kron.append(k)
-        err.append(abs(k - h * g))
-    return kron, err, nodes, y
+    gauss = half * np.add.reduce(_WG * y[:, 1::2], axis=1)
+    # hypot, not np.abs: numpy's complex abs can differ from it in the last bit
+    diff = kron - gauss
+    return kron.tolist(), np.hypot(diff.real, diff.imag).tolist(), nodes, y
 
 
 def _first_nan(nodes, y):
@@ -197,7 +194,7 @@ def _integrate_intervals(f, lo, hi, spec, keys=None):
             while (errors[i] > spec.tolerance(values[i])
                    and counts[i] < spec.max_panels):
                 _, pa, pb, pval, perr = heapq.heappop(heap)
-                mid = 0.5 * (pa + pb)
+                mid = 0.5 * pa + 0.5 * pb
                 if mid <= pa or mid >= pb:  # exhausted at machine precision
                     heapq.heappush(heap, (0.0, pa, pb, pval, 0.0))
                     errors[i] -= perr
@@ -327,8 +324,9 @@ class _HalfLine:
 
     def _truncate(self, a):
         """The far-tail rule: an integrand that fails at t = a after three
-        consecutive negligible contributions ends the sum there, with a
-        warning; sooner, it raises PoisonedEvaluationError."""
+        consecutive negligible contributions, head windows and segments
+        alike, ends the sum there, with a warning; sooner, it raises
+        PoisonedEvaluationError."""
         if self.small_streak < 3:
             raise PoisonedEvaluationError(a)
         warnings.warn("integrand failed in the far tail; truncating "
@@ -353,10 +351,10 @@ class _HalfLine:
         return None
 
     def start_rounds(self):
-        """Seed the epsilon table with the head sum; the head's negligible
-        windows do not count towards the exits of the rounds."""
+        """Seed the epsilon table with the head sum.  The negligible streak
+        runs on from the head, so a segment that fails right after an
+        all-zero head is truncated, not raised."""
         self.accel = self.wynn.add(self.partial)
-        self.small_streak = 0
 
     def add(self, k, a, seg):
         """Fold in segment k, which starts at t = a and integrated to ``seg``
@@ -374,11 +372,12 @@ class _HalfLine:
         self.accel = accel_new
 
         # negligible-terms exit: the plain sum has converged.  One more
-        # segment than the truncation rule above needs, so that an overflow
-        # arriving right after three dead segments still truncates cleanly.
+        # contribution than the truncation rule above needs, so that an
+        # overflow arriving right after three dead segments still truncates
+        # cleanly; head windows do not count towards it.
         if seg_size <= spec.abs_tol:
             self.small_streak += 1
-            if self.small_streak >= 4:
+            if self.small_streak >= 4 and k >= 4:
                 return QuadratureResult(_tidy(self.partial),
                                         self.panel_err + 3 * seg_size,
                                         self.evals, True)

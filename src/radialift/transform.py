@@ -177,8 +177,8 @@ def _as_profile(f):
 class IntegrabilityReport:
     """Outcome of probing the two absolute-integrability pieces.
 
-    The near piece is integral_0^(1/r) |f| t^(n+1) dt; the tail piece is
-    integral_(1/r)^inf |f| t^((n+1)/2) dt, probed up to the cutoff 1e4 with
+    The near piece is integral_0^1 |f| t^(n+1) dt; the tail piece is
+    integral_1^inf |f| t^((n+1)/2) dt, probed up to the cutoff 1e4 with
     a geometric-window trend test.
     """
 
@@ -203,8 +203,9 @@ class IntegrabilityReport:
 _GATE_CUTOFF = 1e4
 
 
-def integrability_check(f, n, r=1.0):
-    """Probe the sufficient integrability condition for the transform at r.
+def integrability_check(f, n):
+    """Probe the sufficient integrability condition for the transform in
+    dimension n, split into a near and a tail piece at t = 1.
 
     Heuristic by design: finite cutoff plus window-trend extrapolation.  The
     condition is sufficient, not necessary; conditionally convergent
@@ -213,21 +214,18 @@ def integrability_check(f, n, r=1.0):
     """
     profile = _as_profile(f)
     n = _check_dimension(n)
-    if r <= 0:
-        raise ValueError("r must be positive")
-    split = 1.0 / r
     probe_spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-13, max_panels=400)
 
     def absf(t):
         return np.abs(profile.values(t))
 
-    near = integrate_finite(lambda t: absf(t) * t ** (n + 1), 0.0,
-                            min(split, _GATE_CUTOFF), probe_spec)
+    near = integrate_finite(lambda t: absf(t) * t ** (n + 1), 0.0, 1.0,
+                            probe_spec)
     if not near.converged:
         return IntegrabilityReport(False, abs(near.value), 0.0, math.inf, "near")
 
     power = (n + 1) / 2.0
-    a = split
+    a = 1.0
     total = 0.0
     prev = None
     ratio = 0.0
@@ -251,8 +249,8 @@ def integrability_check(f, n, r=1.0):
 
 
 def _gate(profile, n, force):
-    """Integrability report for dimension n, probed once per profile at r = 1
-    so that the verdict does not depend on which radius comes first."""
+    """Integrability report for dimension n, probed once per profile; the
+    probe takes no radius, so the verdict holds at every radius."""
     cache = getattr(profile, "_gate_cache", None)
     if cache is None:
         cache = {}
@@ -390,10 +388,12 @@ def hankel(f, nu, r, spec=None):
 
 
 def hankel_fourier_relation(f, n, r, spec=None):
-    """Both sides of the transform/Hankel identity, via independent paths.
+    """Both sides of the transform/Hankel identity.
 
     Returns (lhs, rhs) with lhs the direct radial transform and rhs
-    (2 pi / r^nu) H_nu(f(t) t^nu)(2 pi r), nu = n/2 - 1.
+    (2 pi / r^nu) H_nu(f(t) t^nu)(2 pi r), nu = n/2 - 1.  Both sides use
+    the same Bessel kernel, so agreement checks the quadrature and the
+    normalization, not the Bessel evaluation.
     """
     profile = _as_profile(f)
     n = _check_dimension(n)

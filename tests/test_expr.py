@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -115,6 +116,45 @@ def test_eval_array_matches_scalar():
     vec = e.eval_array(xs)
     for x, v in zip(xs, vec):
         assert complex(v) == e.evaluate(x)
+
+
+# general powers: (text, the same function in mpmath)
+_POWERS = (
+    ("(1+s^2)^(-1.5)", lambda x: (1 + x ** 2) ** mpmath.mpf(-1.5)),
+    ("s^s", lambda x: x ** x),
+    ("(2+sin(s))^(s/3)", lambda x: (2 + mpmath.sin(x)) ** (x / 3)),
+)
+
+
+@pytest.mark.parametrize("text, reference", _POWERS)
+def test_power_derivatives_match_mpmath(text, reference):
+    e = expr.parse(text)
+    assert isinstance(e, expr.Power)
+    for k, d in enumerate(expr.derivatives(e, 2)):
+        reparsed = expr.parse(str(d))
+        for x in (0.7, 1.9):
+            with mpmath.workdps(30):
+                ref = complex(mpmath.diff(reference, mpmath.mpf(x), k))
+            value = d.evaluate(x)
+            assert abs(value - ref) <= 4e-15 * abs(ref), (text, k, x)
+            assert abs(reparsed.evaluate(x) - value) <= 1e-15 * abs(value)
+
+
+def test_power_substitute_simplify_and_complex_constants():
+    e = expr.parse("(1+s^2)^(-1.5)").substitute(expr.parse("2*s"))
+    assert isinstance(e, expr.Power)
+    assert e.evaluate(0.35) == expr.parse("(1+(2*s)^2)^(-1.5)").evaluate(0.35)
+    folded = expr.simplify(expr.parse("2^0.5*s"))
+    assert isinstance(folded, expr.Product)
+    assert folded.left.value == 2 ** 0.5 and folded.right is expr.S
+    assert str(expr.simplify(expr.Power(expr.S, expr.parse("4/2")))) == "s^2"
+    assert expr.parse("(1+i*s)^0.5").has_complex_constant()
+    assert not expr.parse("s^s").has_complex_constant()
+    for text, printed in (("(2+3*i)*s", "(2.0 + 3.0*i)*s"),
+                          ("(2-3*i)*s", "(2.0 - 3.0*i)*s")):
+        folded = expr.simplify(expr.parse(text))
+        assert str(folded) == printed
+        assert expr.parse(printed).evaluate(0.6) == folded.evaluate(0.6)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy.integrate import trapezoid
 
 from radialift.bessel import Order
 from radialift.errors import PoisonedEvaluationError, UnsupportedOrderError
@@ -12,6 +13,7 @@ from radialift.quadrature import (QuadratureResult, QuadratureSpec,
                                   integrate_bessel_halfline, integrate_finite,
                                   integrate_halfline_decaying,
                                   split_halfline_at_zeros)
+from radialift.quadrature import _WG, _WGK, _kronrod_panels
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -100,7 +102,7 @@ def test_halfline_brute_force_oracle():
     # g(t) = t e^{-t^2}, nu = 0, omega = 1, against a 1e6-point trapezoid
     # built on scipy's J_0 (independent of the package's Bessel code)
     ts = np.linspace(0.0, 30.0, 1_000_001)
-    oracle = np.trapezoid(ts * np.exp(-ts ** 2) * sp.j0(ts), ts)
+    oracle = trapezoid(ts * np.exp(-ts ** 2) * sp.j0(ts), ts)
     res = integrate_bessel_halfline(lambda t: t * np.exp(-t * t), Order(0), 1.0)
     assert res.converged
     assert abs(res.value - oracle) < 1e-9
@@ -215,10 +217,32 @@ def test_halfline_head_nan_after_negligible_windows_truncates():
     for omega, res in zip(omegas, batch):
         assert res.converged
         assert abs(res.value - SQ2PI / (1.0 + omega * omega)) < 1e-12, omega
+    # NaN in the first segment after the head: its negligible windows count
+    at_head_end = lambda t: np.where(np.asarray(t) > 1571.0, np.nan, np.exp(-t))
+    with pytest.warns(RuntimeWarning, match="far tail"):
+        res = integrate_bessel_halfline(at_head_end, Order(-1), 1e-3)
+    assert res.converged and abs(res.value - SQ2PI / (1.0 + 1e-6)) < 1e-12
     # NaN before three negligible windows still poisons
     early = lambda t: np.where(np.asarray(t) > 2.0, np.nan, np.exp(-t))
     with pytest.raises(PoisonedEvaluationError):
         integrate_bessel_halfline(early, Order(-1), 1e-5)
+
+
+def test_kronrod_panels_match_a_per_panel_loop():
+    # the per-panel loop that the array sums replaced, as the reference
+    lo = np.array([0.0, 1.0, 3.0, 2.5])
+    hi = np.array([1.0, 3.0, 7.0, 2.5 + 1e-9])
+    f = lambda t: np.exp((1j - 0.3) * t) / (1.0 + t)
+    kron, err, _, y = _kronrod_panels(f, lo, hi, None)
+    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        h = 0.5 * (b - a)
+        k = h * complex(np.add.reduce(_WGK * y[i]))
+        g = h * complex(np.add.reduce(_WG * y[i, 1::2]))
+        assert kron[i] == k and err[i] == abs(k - g)
+    # both ends past ~9e307: the midpoint, and so every node, stays finite
+    _, _, nodes, _ = _kronrod_panels(np.zeros_like, np.array([9e307]),
+                                     np.array([1.7e308]), None)
+    assert np.isfinite(nodes).all()
 
 
 def test_halfline_order_is_not_rounded():
