@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 
+def _first(s, bad):
+    """The first point of s where ``bad`` holds, as a complex number; a
+    ``bad`` that does not depend on s holds at every point."""
+    return complex(np.asarray(s)[np.broadcast_to(bad, np.shape(s))][0])
+
+
 # ---------------------------------------------------------------------------
 # nodes
 
@@ -210,7 +216,8 @@ class Quotient(Expression):
     def _eval(self, s):
         den = self.den._eval(s)
         if np.any(den == 0):
-            raise EvaluationDomainError(self.den, s, "division by zero")
+            raise EvaluationDomainError(self.den, _first(s, den == 0),
+                                        "division by zero")
         return self.num._eval(s) / den
 
     def diff(self):
@@ -267,7 +274,8 @@ class IntegerPower(Expression):
     def _eval(self, s):
         base = self.base._eval(s)
         if self.n < 0 and np.any(base == 0):
-            raise EvaluationDomainError(self, s, "zero base with negative power")
+            raise EvaluationDomainError(self, _first(s, base == 0),
+                                        "zero base with negative power")
         return base ** self.n
 
     def diff(self):
@@ -299,10 +307,13 @@ class Power(Expression):
     def _eval(self, s):
         base = self.base._eval(s)
         expo = self.exponent._eval(s)
-        try:
-            return base ** expo
-        except ZeroDivisionError:
-            raise EvaluationDomainError(self, s, "zero base with negative power") from None
+        # 0 to a negative or complex power: Python complex raises, numpy
+        # arrays would give NaN
+        bad = (base == 0) & ((np.real(expo) < 0) | (np.imag(expo) != 0))
+        if np.any(bad):
+            raise EvaluationDomainError(self, _first(s, bad),
+                                        "zero base with negative or complex power")
+        return base ** expo
 
     def diff(self):
         # d(u^v) = u^v * (v' log u + v u'/u)
@@ -353,7 +364,7 @@ class Apply(Expression):
     def _eval(self, s):
         arg = self.arg._eval(s)
         if self.name == "log" and np.any(arg == 0):
-            raise EvaluationDomainError(self, s, "log of zero")
+            raise EvaluationDomainError(self, _first(s, arg == 0), "log of zero")
         return _FUNC_EVAL[self.name](arg)
 
     def diff(self):

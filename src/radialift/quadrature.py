@@ -12,12 +12,14 @@ Half-line Bessel-kernel integrals are split at the kernel's zeros
 t_k = z_k / omega, so each segment carries one sign of the oscillation, and
 Wynn's epsilon algorithm accelerates the partial sums.  The splitter takes
 one omega or an array of them.  Every omega keeps its own partial sums,
-epsilon table and exit rules; each round hands the next segment of every
-omega still running to one ``integrate_finite`` call.  A head segment
-[0, z_1 / omega] longer than 1 is integrated over the windows [0, 1],
-[1, 3], [3, 7], ... cut at its end, the windows that
-``integrate_halfline_decaying`` steps through, so that a profile living
-near 0 is seen even when omega is tiny.
+epsilon table and exit rules.  The head [0, z_1 / omega] is integrated over
+the windows [0, 1], [1, 3], [3, 7], ... cut at its end, so that a profile
+living near 0 is seen even when omega is tiny, and it stops once three
+windows in a row are negligible.  The heads go first, a few windows of
+every omega per round, then the segments, the next segment of every omega
+per round; each round is one ``integrate_finite`` call.  omega = 0 is the
+moment: its head never ends, and ``integrate_halfline_decaying`` is that
+line.
 
 Values may be complex (profiles with complex parameters integrate directly);
 error bookkeeping uses absolute values throughout.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _as_order, bessel_j_tilde, bessel_zeros
+from .bessel import _as_order, bessel_j_tilde, bessel_zeros, jtilde_at_zero
 from .errors import PoisonedEvaluationError
 
 __all__ = [
@@ -303,14 +305,19 @@ class _WynnEpsilon:
 # oscillatory half-line integrals
 
 class _HalfLine:
-    """Partial sums, epsilon table, streak counters and exit rules of one omega."""
+    """Head windows, partial sums, epsilon table, streak counters and exit
+    rules of one omega."""
 
-    __slots__ = ("spec", "partial", "evals", "panel_err", "wynn", "accel",
-                 "accel_deltas", "small_streak", "grow_streak", "max_seg",
-                 "last_seg")
+    __slots__ = ("spec", "end", "a", "width", "head_streak", "partial",
+                 "evals", "panel_err", "wynn", "accel", "accel_deltas",
+                 "small_streak", "grow_streak", "max_seg", "last_seg")
 
-    def __init__(self, spec):
+    def __init__(self, spec, end):
         self.spec = spec
+        self.end = end
+        self.a = 0.0
+        self.width = 1.0
+        self.head_streak = 0
         self.partial = 0j
         self.evals = 0
         self.panel_err = 0.0
@@ -320,7 +327,19 @@ class _HalfLine:
         self.small_streak = 0
         self.grow_streak = 0
         self.max_seg = 0.0
-        self.last_seg = 0.0
+        self.last_seg = math.inf
+
+    def head_windows(self):
+        """The next windows of [0, 1], [1, 3], [3, 7], ... (each twice as
+        wide as the last), cut at the head's end: as many as the stop rule
+        needs before it can end the head."""
+        out = []
+        while len(out) < 3 - self.head_streak and self.a < self.end:
+            b = min(self.a + self.width, self.end)
+            out.append((self.a, b))
+            self.a = b
+            self.width *= 2.0
+        return out
 
     def _truncate(self, a):
         """The far-tail rule: an integrand that fails at t = a after three
@@ -336,25 +355,36 @@ class _HalfLine:
                                 self.panel_err + abs(self.last_seg),
                                 self.evals, True)
 
-    def add_head(self, a, part):
-        """Fold in the head window that starts at t = a and integrated to
-        ``part`` (None where the integrand gave NaN); a result if the
-        far-tail rule ends the sum there, else None."""
+    def add_head(self, a, b, part):
+        """Fold in the head window [a, b], which integrated to ``part`` (None
+        where the integrand gave NaN); a result if the head ends the sum
+        there, else None.
+
+        The head stops after three windows in a row, each negligible against
+        the nonzero running total and no larger than the one before, so
+        that a profile living away from 0 is reached first.  An endless head
+        (omega = 0, or z_1 / omega overflowed) stops where its next window
+        would start at t = 1e8 or later, converged if its estimate meets the
+        tolerance."""
         if part is None:
             return self._truncate(a)
+        spec = self.spec
         self.partial += complex(part.value)
         self.panel_err += part.error_estimate
         self.evals += part.evaluations
-        self.last_seg = abs(part.value)
-        self.small_streak = (self.small_streak + 1
-                             if self.last_seg <= self.spec.abs_tol else 0)
+        size = abs(part.value)
+        self.small_streak = self.small_streak + 1 if size <= spec.abs_tol else 0
+        negligible = self.partial and size <= min(self.last_seg, max(
+            spec.abs_tol, 0.01 * spec.rel_tol * abs(self.partial)))
+        self.head_streak = self.head_streak + 1 if negligible else 0
+        self.last_seg = size
+        stopped = self.head_streak >= 3
+        if stopped or (self.end == math.inf and b >= 1e8):
+            err = self.panel_err + size
+            converged = stopped or err <= spec.tolerance(self.partial)
+            return QuadratureResult(_tidy(self.partial), err, self.evals,
+                                    converged)
         return None
-
-    def start_rounds(self):
-        """Seed the epsilon table with the head sum.  The negligible streak
-        runs on from the head, so a segment that fails right after an
-        all-zero head is truncated, not raised."""
-        self.accel = self.wynn.add(self.partial)
 
     def add(self, k, a, seg):
         """Fold in segment k, which starts at t = a and integrated to ``seg``
@@ -362,6 +392,8 @@ class _HalfLine:
         spec = self.spec
         if seg is None or not cmath.isfinite(seg.value):
             return self._truncate(a)
+        if k == 1:  # seed the epsilon table with the head sum
+            self.accel = self.wynn.add(self.partial)
         self.evals += seg.evaluations
         self.panel_err += seg.error_estimate
         self.partial += complex(seg.value)
@@ -374,7 +406,8 @@ class _HalfLine:
         # negligible-terms exit: the plain sum has converged.  One more
         # contribution than the truncation rule above needs, so that an
         # overflow arriving right after three dead segments still truncates
-        # cleanly; head windows do not count towards it.
+        # cleanly.  The streak runs on from the head, so a segment that
+        # fails right after an all-zero head is truncated, not raised.
         if seg_size <= spec.abs_tol:
             self.small_streak += 1
             if self.small_streak >= 4 and k >= 4:
@@ -414,33 +447,23 @@ class _HalfLine:
                                 self.evals, False)
 
 
-def _windows():
-    """The windows [0, 1], [1, 3], [3, 7], ...: each starts where the last
-    ended and is twice as wide."""
-    a, width = 0.0, 1.0
-    while True:
-        yield a, a + width
-        a += width
-        width *= 2.0
-
-
-def _head_windows(end):
-    """The windows that start before ``end``, the last one cut at it."""
-    for a, b in _windows():
-        yield a, min(b, end)
-        if b >= end:
-            return
-
-
 def split_halfline_at_zeros(integrand, nu, omega, spec=None):
     """Integrate ``integrand(t, omega)`` over [0, inf), split at t_k = z_k / omega.
 
     ``z_k`` are the zeros of J_nu, so each segment carries one sign of the
     oscillation; Wynn's epsilon algorithm accelerates the partial sums.
-    ``omega`` is one positive number, giving one QuadratureResult, or a 1-d
+    ``omega`` is one number >= 0, giving one QuadratureResult, or a 1-d
     array of them, giving a list with one result per omega.  The integrand
     receives the nodes as a (panels, 15) array and, as a (panels, 1) column,
     the omega each panel belongs to.
+
+    The head [0, z_1 / omega] is integrated over the windows [0, 1], [1, 3],
+    [3, 7], ... cut at its end, so that a profile living near 0 is seen even
+    when omega is tiny.  It stops early once three windows in a row are
+    negligible against the running total, each no larger than the one
+    before; the total is then the result.  At omega = 0 (and where
+    z_1 / omega overflows) the head has no end and nothing else: it stops
+    by that rule, or where its next window would start at t = 1e8.
     Segments or head windows whose integrand overflows are truncated (with
     a warning) once three consecutive contributions fall below abs_tol.
     """
@@ -451,29 +474,34 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
     omegas = np.atleast_1d(omegas)
     if omegas.ndim != 1:
         raise ValueError("omega must be a number or a 1-d array")
-    if not all(0.0 < w < math.inf for w in omegas.tolist()):
-        raise ValueError("omega must be positive and finite")
+    if not all(0.0 <= w < math.inf for w in omegas.tolist()):
+        raise ValueError("omega must be nonnegative and finite")
 
     chunk = 64
     zeros = np.array(bessel_zeros(order, chunk))
     inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
                            max_panels=200, max_oscillations=spec.max_oscillations)
-
-    # a head longer than 1 is integrated window by window, so that a
-    # profile living near 0 is seen even when omega is tiny
-    windows = [(i, a, b) for i, end in enumerate((zeros[0] / omegas).tolist())
-               for a, b in _head_windows(end)]
-    owner, lo, hi = zip(*windows)
-    lines = [_HalfLine(spec) for _ in range(omegas.size)]
+    # the head ends at z_1 / omega: inf at omega = 0 and where it overflows
+    with np.errstate(divide="ignore", over="ignore"):
+        lines = [_HalfLine(spec, end) for end in (zeros[0] / omegas).tolist()]
     results = [None] * omegas.size
-    for i, a, part in zip(owner, lo, integrate_finite(
-            integrand, np.array(lo), np.array(hi), inner, omegas[list(owner)])):
-        if results[i] is None:  # an omega whose head ends in NaN skips the rounds
-            results[i] = lines[i].add_head(a, part)
 
+    # head rounds: the windows of every line still in its head go to one
+    # integrand call per round
+    running = list(range(omegas.size))
+    while running:
+        windows = [(i, a, b) for i in running for a, b in lines[i].head_windows()]
+        owner, lo, hi = zip(*windows)
+        parts = integrate_finite(integrand, np.array(lo), np.array(hi), inner,
+                                 omegas[list(owner)])
+        for i, a, b, part in zip(owner, lo, hi, parts):
+            if results[i] is None:  # the rest of a line's windows after its end
+                results[i] = lines[i].add_head(a, b, part)
+        running = [i for i in running
+                   if results[i] is None and lines[i].a < lines[i].end]
+
+    # segment rounds: the next segment of every line still running
     running = [i for i, done in enumerate(results) if done is None]
-    for i in running:
-        lines[i].start_rounds()
     w = omegas[running]
     k = 0
     while k < spec.max_oscillations and running:
@@ -499,19 +527,38 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
 
 def integrate_bessel_halfline(g, nu, omega, spec=None):
     """Integral of g(t) * Jt_nu(omega t) over [0, inf); omega as in
-    ``split_halfline_at_zeros``."""
+    ``split_halfline_at_zeros``.
+
+    At omega = 0 the kernel is the constant Jt_nu(0).  Such a line
+    integrates g alone, so its stop rule and tolerance apply to the plain
+    moment, and its value and estimate are then scaled by Jt_nu(0).
+    """
     order = _as_order(nu)
+    at_zero = np.asarray(omega, dtype=float) == 0.0
+    moments = at_zero.any()
 
     def integrand(t, w):
         # flat arrays: Bessel evaluation is slower on 2-d ones
-        return (_call_integrand(g, t.ravel())
-                * bessel_j_tilde(order, (w * t).ravel())).reshape(t.shape)
+        y = _call_integrand(g, t.ravel())
+        if moments:  # a kernel of 1 on the panels of omega = 0
+            zero = np.broadcast_to(w == 0.0, t.shape).ravel()
+            if not zero.all():
+                y = np.where(zero, y, y * bessel_j_tilde(order, (w * t).ravel()))
+            return y.reshape(t.shape)
+        return (y * bessel_j_tilde(order, (w * t).ravel())).reshape(t.shape)
 
-    return split_halfline_at_zeros(integrand, order, omega, spec)
+    results = split_halfline_at_zeros(integrand, order, omega, spec)
+    for res, zero in zip(results if at_zero.ndim else [results],
+                         at_zero.ravel().tolist()):
+        if zero:
+            res.value *= jtilde_at_zero(order)
+            res.error_estimate *= jtilde_at_zero(order)
+    return results
 
 
 def integrate_halfline_decaying(f, spec=None):
-    """Integral over [0, inf) of a non-oscillatory decaying integrand.
+    """Integral over [0, inf) of a non-oscillatory decaying integrand: the
+    omega = 0 line of the half-line engine, whose kernel Jt_0(0) is 1.
 
     The windows [0, 1], [1, 3], [3, 7], ... are added until three
     consecutive ones are negligible against the running total, each no
@@ -519,31 +566,8 @@ def integrate_halfline_decaying(f, spec=None):
     reached before the sum stops.  A window counts only once the total is
     nonzero: a profile that lives past t ~ 27 reads exactly 0 on the first
     windows.  An integrand that reads 0 up to t = 1e8 ends there, converged
-    if its estimate meets the tolerance.
+    if its estimate meets the tolerance.  NaN from the integrand raises
+    PoisonedEvaluationError, or, after three windows below abs_tol, ends
+    the sum there with a warning.
     """
-    spec = spec or DEFAULT_SPEC
-    inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                           max_panels=400)
-    total = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    small = 0
-    last = math.inf
-    for a, b in _windows():
-        if a >= 1e8:
-            err += abs(seg.value)
-            return QuadratureResult(_tidy(total), err, evals,
-                                    err <= spec.tolerance(total))
-        seg = integrate_finite(f, a, b, inner)
-        total += complex(seg.value)
-        err += seg.error_estimate
-        evals += seg.evaluations
-        size = abs(seg.value)
-        if total and size <= min(last, max(spec.abs_tol,
-                                           0.01 * spec.rel_tol * abs(total))):
-            small += 1
-            if small >= 3:
-                return QuadratureResult(_tidy(total), err + size, evals, True)
-        else:
-            small = 0
-        last = size
+    return integrate_bessel_halfline(f, 0, 0.0, spec)

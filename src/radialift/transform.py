@@ -6,9 +6,9 @@ The transform of a radial profile f in dimension n at radius r is
 
 evaluated by the oscillatory half-line engine, which steps every radius of
 a grid in lockstep.  Dimensions 1 and 2 run through the same machinery
-(orders -1/2 and 0) rather than being special cased.  r = 0 is handled as
-the plain moment (2 pi)^(n/2) Jt(0) * integral of f t^(n-1), avoiding a
-zero frequency in the oscillatory engine.
+(orders -1/2 and 0) rather than being special cased, and so does r = 0:
+there the kernel is the constant Jt(0), and the engine's omega = 0 line
+gives the moment (2 pi)^(n/2) Jt(0) * integral of f t^(n-1).
 
 Profiles are either closed-form expressions, sampled grids (cubic spline
 inside the grid, zero beyond it, with a one-time warning), or wrapped
@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .bessel import Order, _as_order, bessel_j, jtilde_at_zero
+from .bessel import Order, _as_order, bessel_j
 from .errors import ConvergenceError, IntegrabilityError
-from .quadrature import (QuadratureSpec, QuadratureResult, integrate_finite,
-                         integrate_bessel_halfline, integrate_halfline_decaying,
-                         split_halfline_at_zeros)
+from .quadrature import (QuadratureSpec, integrate_finite,
+                         integrate_bessel_halfline, split_halfline_at_zeros)
 
 __all__ = [
     "RadialProfile", "AnalyticProfile", "SampledProfile", "CallableProfile",
@@ -293,17 +292,16 @@ def _finalize(profile, quad, method):
 def radial_fourier_grid(f, n, radii, spec=None, force=False):
     """Full-diagnostics radial Fourier transform in dimension n at every radius.
 
-    The gate runs once, r = 0 is the moment, and all positive radii go
-    through one lockstep half-line pass.  Returns one TransformResult per
-    radius, in order.
+    The gate runs once, and every radius, 0 included, goes through one
+    lockstep half-line pass; at r = 0 that pass gives the moment.  Returns
+    one TransformResult per radius, in order.
     """
     profile = _as_profile(f)
     n = _check_dimension(n)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1:
         raise TypeError("radii must be a one-dimensional sequence")
-    radii = radii.tolist()
-    if not all(r >= 0 for r in radii):
+    if not (radii >= 0).all():
         raise ValueError("r must be nonnegative")
     order = Order.for_dimension(n)
     prefactor = (2.0 * math.pi) ** (n / 2.0)
@@ -315,28 +313,12 @@ def radial_fourier_grid(f, n, radii, spec=None, force=False):
         v = profile.values(t)
         return np.where(v == 0, 0.0, v * t ** (n - 1))
 
-    results = [None] * len(radii)
-    at_zero = [i for i, r in enumerate(radii) if r == 0.0]
-    if at_zero:
-        with np.errstate(all="ignore"):
-            moment = integrate_halfline_decaying(g, spec)
-        scale = prefactor * jtilde_at_zero(order)
-        for i in at_zero:
-            quad = QuadratureResult(scale * complex(moment.value),
-                                    scale * moment.error_estimate,
-                                    moment.evaluations, moment.converged)
-            results[i] = _finalize(profile, quad, "direct")
-
-    positive = [i for i, r in enumerate(radii) if r > 0.0]
-    if positive:
-        omegas = np.array([2.0 * math.pi * radii[i] for i in positive])
-        with np.errstate(all="ignore"):
-            quads = integrate_bessel_halfline(g, order, omegas, spec)
-        for i, quad in zip(positive, quads):
-            quad.value = prefactor * complex(quad.value)
-            quad.error_estimate *= prefactor
-            results[i] = _finalize(profile, quad, "direct")
-    return results
+    with np.errstate(all="ignore"):
+        quads = integrate_bessel_halfline(g, order, 2.0 * math.pi * radii, spec)
+    for quad in quads:
+        quad.value = prefactor * complex(quad.value)
+        quad.error_estimate *= prefactor
+    return [_finalize(profile, quad, "direct") for quad in quads]
 
 
 def radial_fourier_result(f, n, r, spec=None, force=False):

@@ -108,6 +108,18 @@ def test_domain_errors_name_the_node():
         expr.parse("log(s)").evaluate(0.0)
     with pytest.raises(EvaluationDomainError):
         expr.parse("s^-1").evaluate(0.0)
+    # on arrays the error names the first point that fails
+    xs = np.array([0.5, 1.0, 2.0, 1.0])
+    for text in ("1/(s-1)", "log(s-1)", "(s-1)^-2", "(s-1)^(-0.5)",
+                 "(s-1)^i"):
+        with pytest.raises(EvaluationDomainError) as err:
+            expr.parse(text).eval_array(xs)
+        assert err.value.value == 1.0, text
+    # a denominator that is 0 everywhere fails at the first point
+    with pytest.raises(EvaluationDomainError) as err:
+        expr.parse("1/(0*s)").eval_array(xs)
+    assert err.value.value == 0.5
+    assert expr.parse("(s-1)^0").eval_array(xs).tolist() == [1.0] * 4
 
 
 def test_eval_array_matches_scalar():

@@ -102,8 +102,9 @@ def test_tiny_radii_match_the_closed_forms():
 
 
 def test_radii_far_below_one_match_the_closed_forms():
-    # the head windows reach t where t^(n-1) overflows; the profile is 0
-    # there, so the integrand is 0 and the head sum is the transform
+    # the head windows reach t where t^(n-1) overflows, and at r = 2.2e-311
+    # the head's end z_1 / (2 pi r) itself overflows; the head stops long
+    # before either, once the profile is 0
     spec = QuadratureSpec()
     poisson = profile_from_text("exp(-2*pi*s)")
     for n, r in ((3, 1e-200), (8, 1e-100), (1, 2.2e-311)):
@@ -111,15 +112,16 @@ def test_radii_far_below_one_match_the_closed_forms():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 res = radial_fourier_result(profile, n, r)
-            messages = [str(w.message) for w in caught]
-            if r < 1e-300:
-                # the head's end z_1 / (2 pi r) itself overflows, so the last
-                # head window has NaN nodes and the far-tail rule ends it
-                assert len(messages) == 1 and "far tail" in messages[0]
-            else:
-                assert messages == []
+            assert [str(w.message) for w in caught] == [], (n, r)
             assert res.converged
             assert abs(res.value - exact) <= 10 * spec.tolerance(exact), (n, r)
+
+
+def test_tiny_radii_cost_no_more_than_small_ones():
+    # the head stops once the profile is 0, however far its end lies
+    far = radial_fourier_result(GAUSS, 3, 1e-200)
+    near = radial_fourier_result(GAUSS, 3, 1e-6)
+    assert far.evaluations <= near.evaluations
 
 
 def test_top_dimension_at_small_radii_is_finite():
@@ -213,7 +215,7 @@ def _moment(text, n):
     return sphere_surface(n) * math.gamma(n / 2) * math.gamma(2 - n / 2) / 2
 
 
-@pytest.mark.filterwarnings("ignore:integrand failed in the far tail")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("r", [1e-154, 2.2250738585072014e-308,
                                1.1125369292536007e-308])
 @pytest.mark.parametrize("text, dims", [("exp(-pi*s^2)", range(1, 9)),
@@ -262,8 +264,9 @@ def test_hankel_zero_profile():
 
 def test_hankel_profile_domain_error_propagates():
     # a GK15 node of the first segment lands on the pole at s = 0.5
-    with pytest.raises(EvaluationDomainError):
+    with pytest.raises(EvaluationDomainError) as err:
         hankel("1/(s-0.5)", 0, 1.0)
+    assert err.value.value == 0.5
 
 
 def test_out_of_oscillations_raises_convergence_error():
