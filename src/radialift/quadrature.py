@@ -14,12 +14,12 @@ Wynn's epsilon algorithm accelerates the partial sums.  The splitter takes
 one omega or an array of them.  Every omega keeps its own partial sums,
 epsilon table and exit rules.  The head [0, z_1 / omega] is integrated over
 the windows [0, 1], [1, 3], [3, 7], ... cut at its end, so that a profile
-living near 0 is seen even when omega is tiny, and it stops once three
-windows in a row are negligible.  The heads go first, a few windows of
-every omega per round, then the segments, the next segment of every omega
-per round; each round is one ``integrate_finite`` call.  omega = 0 is the
-moment: its head never ends, and ``integrate_halfline_decaying`` is that
-line.
+living near 0 is seen even when omega is tiny.  A head runs to
+min(end, 1e8) and may stop past that once three windows in a row are
+negligible.  The heads go first, then the segments, the next segment of
+every omega per round; each round is one ``integrate_finite`` call.
+omega = 0 is the moment: its head never ends, its stop rule applies from
+the first window, and ``integrate_halfline_decaying`` is that line.
 
 Values may be complex (profiles with complex parameters integrate directly);
 error bookkeeping uses absolute values throughout.
@@ -304,17 +304,24 @@ class _WynnEpsilon:
 # ---------------------------------------------------------------------------
 # oscillatory half-line integrals
 
+# how far a head runs before its stop rule may end it; the moment's head
+# (omega = 0, reach 0) stops by that rule throughout and ends here instead
+_HEAD_REACH = 1e8
+
+
 class _HalfLine:
     """Head windows, partial sums, epsilon table, streak counters and exit
     rules of one omega."""
 
-    __slots__ = ("spec", "end", "a", "width", "head_streak", "partial",
-                 "evals", "panel_err", "wynn", "accel", "accel_deltas",
-                 "small_streak", "grow_streak", "max_seg", "last_seg")
+    __slots__ = ("spec", "end", "reach", "a", "width", "head_streak",
+                 "partial", "evals", "panel_err", "wynn", "accel",
+                 "accel_deltas", "small_streak", "grow_streak", "max_seg",
+                 "last_seg")
 
-    def __init__(self, spec, end):
+    def __init__(self, spec, end, reach):
         self.spec = spec
         self.end = end
+        self.reach = reach
         self.a = 0.0
         self.width = 1.0
         self.head_streak = 0
@@ -331,10 +338,12 @@ class _HalfLine:
 
     def head_windows(self):
         """The next windows of [0, 1], [1, 3], [3, 7], ... (each twice as
-        wide as the last), cut at the head's end: as many as the stop rule
-        needs before it can end the head."""
+        wide as the last), cut at the head's end: all of them up to the
+        reach, where the stop rule cannot end the head, then as many as it
+        needs before it can."""
         out = []
-        while len(out) < 3 - self.head_streak and self.a < self.end:
+        while self.a < self.end and (self.a < self.reach
+                                     or len(out) < 3 - self.head_streak):
             b = min(self.a + self.width, self.end)
             out.append((self.a, b))
             self.a = b
@@ -360,12 +369,12 @@ class _HalfLine:
         where the integrand gave NaN); a result if the head ends the sum
         there, else None.
 
-        The head stops after three windows in a row, each negligible against
-        the nonzero running total and no larger than the one before, so
-        that a profile living away from 0 is reached first.  An endless head
-        (omega = 0, or z_1 / omega overflowed) stops where its next window
-        would start at t = 1e8 or later, converged if its estimate meets the
-        tolerance."""
+        Once a window reaches the reach, the head stops after three windows
+        in a row, each negligible against the nonzero running total and no
+        larger than the one before.  The moment's reach is 0, so a profile
+        with a second bump beyond a gap can be cut off there; its head ends
+        where its next window would start at t = 1e8 or later, converged if
+        its estimate meets the tolerance."""
         if part is None:
             return self._truncate(a)
         spec = self.spec
@@ -378,8 +387,8 @@ class _HalfLine:
             spec.abs_tol, 0.01 * spec.rel_tol * abs(self.partial)))
         self.head_streak = self.head_streak + 1 if negligible else 0
         self.last_seg = size
-        stopped = self.head_streak >= 3
-        if stopped or (self.end == math.inf and b >= 1e8):
+        stopped = self.head_streak >= 3 and b >= self.reach
+        if stopped or (not self.reach and b >= _HEAD_REACH):
             err = self.panel_err + size
             converged = stopped or err <= spec.tolerance(self.partial)
             return QuadratureResult(_tidy(self.partial), err, self.evals,
@@ -459,11 +468,15 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
 
     The head [0, z_1 / omega] is integrated over the windows [0, 1], [1, 3],
     [3, 7], ... cut at its end, so that a profile living near 0 is seen even
-    when omega is tiny.  It stops early once three windows in a row are
-    negligible against the running total, each no larger than the one
-    before; the total is then the result.  At omega = 0 (and where
-    z_1 / omega overflows) the head has no end and nothing else: it stops
-    by that rule, or where its next window would start at t = 1e8.
+    when omega is tiny.  Every head runs at least to min(end, 1e8), all of
+    those windows in the first round, so that a profile with a second bump
+    beyond a gap is not cut off.  Past t = 1e8 it stops once three windows
+    in a row are negligible against the nonzero running total, each no
+    larger than the one before; the total is then the result.  Where
+    z_1 / omega overflows the head has no end and only that rule (or the
+    far-tail rule) stops it.  At omega = 0 the head is the whole line: its
+    stop rule applies from the first window, and it ends where its next
+    window would start at t = 1e8.
     Segments or head windows whose integrand overflows are truncated (with
     a warning) once three consecutive contributions fall below abs_tol.
     """
@@ -483,11 +496,12 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
                            max_panels=200, max_oscillations=spec.max_oscillations)
     # the head ends at z_1 / omega: inf at omega = 0 and where it overflows
     with np.errstate(divide="ignore", over="ignore"):
-        lines = [_HalfLine(spec, end) for end in (zeros[0] / omegas).tolist()]
+        lines = [_HalfLine(spec, end, _HEAD_REACH if w else 0.0) for end, w
+                 in zip((zeros[0] / omegas).tolist(), omegas.tolist())]
     results = [None] * omegas.size
 
     # head rounds: the windows of every line still in its head go to one
-    # integrand call per round
+    # integrand call per round; the first takes every window below the reach
     running = list(range(omegas.size))
     while running:
         windows = [(i, a, b) for i in running for a, b in lines[i].head_windows()]

@@ -208,22 +208,29 @@ def test_halfline_nan_in_one_omega_poisons_the_batch():
 
 
 def test_halfline_head_nan_after_negligible_windows_truncates():
-    # the head [0, (pi/2) / omega] stops near t = 255, three negligible
-    # windows after e^-t has died away, long before the NaN
-    for omega, cut in ((1e-5, 1000.0), (1e-3, 1571.0)):
-        g = lambda t, cut=cut: np.where(np.asarray(t) > cut, np.nan,
-                                        np.exp(-t))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = integrate_bessel_halfline(g, Order(-1), omega)
+    # a head [0, (pi/2) / omega] of 1.6e5, stepped to its end, meets the NaN
+    # past t = 1000 long after e^-t has died away
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 1000.0, np.nan, np.exp(-t))
+
+    omegas = np.array([1e-5, 0.5])
+    with pytest.warns(RuntimeWarning, match="far tail"):
+        batch = integrate_bessel_halfline(g, Order(-1), omegas)
+    for omega, res in zip(omegas, batch):
         assert res.converged
         assert abs(res.value - SQ2PI / (1.0 + omega * omega)) < 1e-12, omega
-    # a profile that is 0 never stops the head: its NaN meets the far-tail
-    # rule after three negligible windows
-    dead = lambda t: np.where(np.asarray(t) > 1000.0, np.nan, 0.0 * t)
+    # NaN in the first segment after the head: its negligible windows count
+    at_head_end = lambda t: np.where(np.asarray(t) > 1571.0, np.nan, np.exp(-t))
     with pytest.warns(RuntimeWarning, match="far tail"):
-        res = integrate_bessel_halfline(dead, Order(-1), 1e-5)
-    assert res.converged and res.value == 0.0
+        res = integrate_bessel_halfline(at_head_end, Order(-1), 1e-3)
+    assert res.converged and abs(res.value - SQ2PI / (1.0 + 1e-6)) < 1e-12
+    # a profile that is 0 never stops a head, inside it or at its end
+    for omega, cut in ((1e-5, 1000.0), (1e-3, 1571.0)):
+        dead = lambda t, cut=cut: np.where(np.asarray(t) > cut, np.nan, 0.0 * t)
+        with pytest.warns(RuntimeWarning, match="far tail"):
+            res = integrate_bessel_halfline(dead, Order(-1), omega)
+        assert res.converged and res.value == 0.0, omega
     # NaN before three negligible windows still poisons
     early = lambda t: np.where(np.asarray(t) > 2.0, np.nan, np.exp(-t))
     with pytest.raises(PoisonedEvaluationError):

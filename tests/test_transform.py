@@ -103,25 +103,54 @@ def test_tiny_radii_match_the_closed_forms():
 
 def test_radii_far_below_one_match_the_closed_forms():
     # the head windows reach t where t^(n-1) overflows, and at r = 2.2e-311
-    # the head's end z_1 / (2 pi r) itself overflows; the head stops long
-    # before either, once the profile is 0
+    # the head's end z_1 / (2 pi r) itself overflows; the Gaussian and the
+    # Poisson kernel stop the head at t ~ 1e8, an algebraic tail near 1e12
     spec = QuadratureSpec()
     poisson = profile_from_text("exp(-2*pi*s)")
-    for n, r in ((3, 1e-200), (8, 1e-100), (1, 2.2e-311)):
-        for profile, exact in ((GAUSS, 1.0), (poisson, _poisson(n, r))):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                res = radial_fourier_result(profile, n, r)
-            assert [str(w.message) for w in caught] == [], (n, r)
-            assert res.converged
-            assert abs(res.value - exact) <= 10 * spec.tolerance(exact), (n, r)
+    cases = [(GAUSS, n, r, 1.0) for n, r in ((3, 1e-200), (8, 1e-100),
+                                            (1, 2.2e-311))]
+    cases += [(poisson, n, r, _poisson(n, r)) for n, r in ((3, 1e-200),
+                                                           (8, 1e-100),
+                                                           (1, 2.2e-311))]
+    # in R^3 the transform of 1/(1+|x|^2)^2 is pi^2 e^(-2 pi |xi|)
+    cases.append((profile_from_text("1/(1+s^2)^2"), 3, 2.2e-311, math.pi ** 2))
+    for profile, n, r, exact in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = radial_fourier_result(profile, n, r)
+        assert [str(w.message) for w in caught] == [], (n, r)
+        assert res.converged
+        assert abs(res.value - exact) <= 10 * spec.tolerance(exact), (n, r)
 
 
-def test_tiny_radii_cost_no_more_than_small_ones():
-    # the head stops once the profile is 0, however far its end lies
-    far = radial_fourier_result(GAUSS, 3, 1e-200)
-    near = radial_fourier_result(GAUSS, 3, 1e-6)
-    assert far.evaluations <= near.evaluations
+def test_tiny_radii_cost_is_flat():
+    # below r ~ 5e-9 every head stops just past t = 1e8, however far its end
+    # lies: the Gaussian's cost does not grow as r goes to 0
+    costs = {r: radial_fourier_result(GAUSS, 3, r).evaluations
+             for r in (1e-9, 1e-200, 2.2e-311)}
+    assert len(set(costs.values())) == 1, costs
+
+
+def test_small_radii_reach_a_second_bump():
+    # the bump at s = 100 lies past three negligible windows of the head;
+    # the head runs on to its end (or to t = 1e8) and reaches it
+    mpmath = pytest.importorskip("mpmath")
+    profile = profile_from_text("exp(-pi*s^2) + exp(-(s-100)^2)")
+    for n in (1, 3):
+        for r in (1e-3, 1e-9, 1e-200):
+            w = 2 * math.pi * r
+            # the bump's transform: 2 int cos(w t) b(t) dt at n = 1 and
+            # 4 pi int (sin(w t) / w) b(t) t dt at n = 3, b = e^(-(t - 100)^2)
+            if n == 1:
+                kernel = lambda t: 2 * mpmath.cos(w * t)
+            else:
+                kernel = lambda t: 4 * mpmath.pi * mpmath.sin(w * t) / w * t
+            bump = mpmath.quad(lambda t: mpmath.exp(-(t - 100) ** 2)
+                               * kernel(t), [70, 100, 130])
+            exact = math.exp(-math.pi * r * r) + float(bump)
+            res = radial_fourier_result(profile, n, r)
+            assert res.converged, (n, r)
+            assert abs(res.value - exact) <= 1e-9 * abs(exact), (n, r)
 
 
 def test_top_dimension_at_small_radii_is_finite():
