@@ -110,15 +110,21 @@ def _j_asymptotic(nu_int, x):
     inv_x = 1.0 / np.asarray(x, dtype=float)
     p = np.ones_like(inv_x)
     q = np.zeros_like(inv_x)
-    # a_k / x^k built incrementally; stop at the smallest term
+    # a_k / x^k built incrementally; stop at the smallest term.  It is
+    # largest where 1/x is, and correctly rounded products are monotone, so
+    # that element's term, in Python floats, picks the last term for the
+    # whole array (NaN runs all 39, as a NaN maximum would)
     term = np.ones_like(inv_x)
-    prev_size = np.inf
+    term_max, prev_size = 1.0, math.inf
+    inv_max = float(inv_x.max())
     for k in range(1, 40):
-        term = term * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) * inv_x
-        size = float(np.max(np.abs(term)))
+        c = (mu - (2 * k - 1) ** 2) / (8.0 * k)
+        term_max = term_max * c * inv_max
+        size = abs(term_max)
         if size >= prev_size or size < 1e-20:
             break
         prev_size = size
+        term = term * c * inv_x
         if k % 2 == 1:
             q += term if k % 4 == 1 else -term
         else:

@@ -14,12 +14,14 @@ Wynn's epsilon algorithm accelerates the partial sums.  The splitter takes
 one omega or an array of them.  Every omega keeps its own partial sums,
 epsilon table and exit rules.  The head [0, z_1 / omega] is integrated over
 the windows [0, 1], [1, 3], [3, 7], ... cut at its end, so that a profile
-living near 0 is seen even when omega is tiny.  A head runs to
+living near 0 is seen even when omega is tiny.  Every head runs to
 min(end, 1e8) and may stop past that once three windows in a row are
-negligible.  The heads go first, then the segments, the next segment of
-every omega per round; each round is one ``integrate_finite`` call.
-omega = 0 is the moment: its head never ends, its stop rule applies from
-the first window, and ``integrate_halfline_decaying`` is that line.
+negligible.  A head with no end (omega = 0, the moment, or z_1 / omega
+overflowed) also stops there at once if it has read only zeros, and ends
+unconverged after eight windows in a row that barely shrink.  The heads go
+first, then the segments, the next segment of every omega per round; each
+round is one ``integrate_finite`` call.  ``integrate_halfline_decaying`` is
+the omega = 0 line.
 
 Values may be complex (profiles with complex parameters integrate directly);
 error bookkeeping uses absolute values throughout.
@@ -304,8 +306,8 @@ class _WynnEpsilon:
 # ---------------------------------------------------------------------------
 # oscillatory half-line integrals
 
-# how far a head runs before its stop rule may end it; the moment's head
-# (omega = 0, reach 0) stops by that rule throughout and ends here instead
+# how far every head runs before its stop rule may end it, the moment's
+# (omega = 0) too, so that a second bump beyond a gap is reached
 _HEAD_REACH = 1e8
 
 
@@ -313,15 +315,14 @@ class _HalfLine:
     """Head windows, partial sums, epsilon table, streak counters and exit
     rules of one omega."""
 
-    __slots__ = ("spec", "end", "reach", "a", "width", "head_streak",
+    __slots__ = ("spec", "end", "a", "width", "head_streak",
                  "partial", "evals", "panel_err", "wynn", "accel",
                  "accel_deltas", "small_streak", "grow_streak", "max_seg",
                  "last_seg")
 
-    def __init__(self, spec, end, reach):
+    def __init__(self, spec, end):
         self.spec = spec
         self.end = end
-        self.reach = reach
         self.a = 0.0
         self.width = 1.0
         self.head_streak = 0
@@ -338,11 +339,11 @@ class _HalfLine:
 
     def head_windows(self):
         """The next windows of [0, 1], [1, 3], [3, 7], ... (each twice as
-        wide as the last), cut at the head's end: all of them up to the
-        reach, where the stop rule cannot end the head, then as many as it
-        needs before it can."""
+        wide as the last), cut at the head's end: all of them up to
+        t = 1e8, where no stop rule can end the head, then as many as the
+        stop rule needs before it can."""
         out = []
-        while self.a < self.end and (self.a < self.reach
+        while self.a < self.end and (self.a < _HEAD_REACH
                                      or len(out) < 3 - self.head_streak):
             b = min(self.a + self.width, self.end)
             out.append((self.a, b))
@@ -369,12 +370,13 @@ class _HalfLine:
         where the integrand gave NaN); a result if the head ends the sum
         there, else None.
 
-        Once a window reaches the reach, the head stops after three windows
+        Once a window reaches t = 1e8, the head stops after three windows
         in a row, each negligible against the nonzero running total and no
-        larger than the one before.  The moment's reach is 0, so a profile
-        with a second bump beyond a gap can be cut off there; its head ends
-        where its next window would start at t = 1e8 or later, converged if
-        its estimate meets the tolerance."""
+        larger than the one before.  A head with no end also stops at once
+        while that total is still exactly 0 (so a profile that lives only
+        beyond 1e8 reads 0 there), and ends unconverged after eight windows
+        in a row, each above 100 abs_tol and over 0.99 times the one
+        before, as a divergent moment's are."""
         if part is None:
             return self._truncate(a)
         spec = self.spec
@@ -386,13 +388,24 @@ class _HalfLine:
         negligible = self.partial and size <= min(self.last_seg, max(
             spec.abs_tol, 0.01 * spec.rel_tol * abs(self.partial)))
         self.head_streak = self.head_streak + 1 if negligible else 0
+        grew = size > max(100.0 * spec.abs_tol, 0.99 * self.last_seg)
         self.last_seg = size
-        stopped = self.head_streak >= 3 and b >= self.reach
-        if stopped or (not self.reach and b >= _HEAD_REACH):
-            err = self.panel_err + size
-            converged = stopped or err <= spec.tolerance(self.partial)
-            return QuadratureResult(_tidy(self.partial), err, self.evals,
-                                    converged)
+        if b < _HEAD_REACH:
+            return None
+        done = self.head_streak >= 3
+        if self.end == math.inf:
+            # divergence watch: 0.99^1000 > 1e-5, and fewer than 1000
+            # windows lie between 1e8 and overflow, so a tail that shrinks
+            # more slowly never meets the tolerance
+            self.grow_streak = self.grow_streak + 1 if grew else 0
+            if self.grow_streak >= 8:
+                return QuadratureResult(_tidy(self.partial),
+                                        self.panel_err + size, self.evals,
+                                        False)
+            done = done or not self.partial
+        if done:
+            return QuadratureResult(_tidy(self.partial), self.panel_err + size,
+                                    self.evals, True)
         return None
 
     def add(self, k, a, seg):
@@ -472,11 +485,11 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
     those windows in the first round, so that a profile with a second bump
     beyond a gap is not cut off.  Past t = 1e8 it stops once three windows
     in a row are negligible against the nonzero running total, each no
-    larger than the one before; the total is then the result.  Where
-    z_1 / omega overflows the head has no end and only that rule (or the
-    far-tail rule) stops it.  At omega = 0 the head is the whole line: its
-    stop rule applies from the first window, and it ends where its next
-    window would start at t = 1e8.
+    larger than the one before; the total is then the result, converged.
+    At omega = 0, and where z_1 / omega overflows, the head has no end: past
+    t = 1e8 it also stops at once with a total still exactly 0, converged,
+    and after eight windows in a row, each over 0.99 times the one before,
+    unconverged: a divergent moment's windows do not shrink.
     Segments or head windows whose integrand overflows are truncated (with
     a warning) once three consecutive contributions fall below abs_tol.
     """
@@ -493,15 +506,15 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
     chunk = 64
     zeros = np.array(bessel_zeros(order, chunk))
     inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                           max_panels=200, max_oscillations=spec.max_oscillations)
+                           max_panels=min(spec.max_panels, 200),
+                           max_oscillations=spec.max_oscillations)
     # the head ends at z_1 / omega: inf at omega = 0 and where it overflows
     with np.errstate(divide="ignore", over="ignore"):
-        lines = [_HalfLine(spec, end, _HEAD_REACH if w else 0.0) for end, w
-                 in zip((zeros[0] / omegas).tolist(), omegas.tolist())]
+        lines = [_HalfLine(spec, end) for end in (zeros[0] / omegas).tolist()]
     results = [None] * omegas.size
 
     # head rounds: the windows of every line still in its head go to one
-    # integrand call per round; the first takes every window below the reach
+    # integrand call per round; the first takes every window below 1e8
     running = list(range(omegas.size))
     while running:
         windows = [(i, a, b) for i in running for a, b in lines[i].head_windows()]
@@ -544,8 +557,9 @@ def integrate_bessel_halfline(g, nu, omega, spec=None):
     ``split_halfline_at_zeros``.
 
     At omega = 0 the kernel is the constant Jt_nu(0).  Such a line
-    integrates g alone, so its stop rule and tolerance apply to the plain
-    moment, and its value and estimate are then scaled by Jt_nu(0).
+    integrates g alone, so the head's stop rule and the tolerance apply to
+    the plain moment, and its value and estimate are then scaled by
+    Jt_nu(0).
     """
     order = _as_order(nu)
     at_zero = np.asarray(omega, dtype=float) == 0.0
@@ -574,14 +588,13 @@ def integrate_halfline_decaying(f, spec=None):
     """Integral over [0, inf) of a non-oscillatory decaying integrand: the
     omega = 0 line of the half-line engine, whose kernel Jt_0(0) is 1.
 
-    The windows [0, 1], [1, 3], [3, 7], ... are added until three
-    consecutive ones are negligible against the running total, each no
-    larger than the one before, so that a profile living away from 0 is
-    reached before the sum stops.  A window counts only once the total is
-    nonzero: a profile that lives past t ~ 27 reads exactly 0 on the first
-    windows.  An integrand that reads 0 up to t = 1e8 ends there, converged
-    if its estimate meets the tolerance.  NaN from the integrand raises
-    PoisonedEvaluationError, or, after three windows below abs_tol, ends
-    the sum there with a warning.
+    The windows [0, 1], [1, 3], [3, 7], ... are all added up to t = 1e8,
+    so that a profile living away from 0 is reached, and past that until
+    three consecutive ones are negligible against the nonzero running
+    total, each no larger than the one before.  An integrand that reads 0
+    up to t = 1e8 ends there with 0, converged; one whose windows past 1e8
+    barely shrink ends unconverged after eight of them.  NaN from the
+    integrand raises PoisonedEvaluationError, or, after three windows below
+    abs_tol, ends the sum there with a warning.
     """
     return integrate_bessel_halfline(f, 0, 0.0, spec)

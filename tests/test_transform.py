@@ -103,8 +103,9 @@ def test_tiny_radii_match_the_closed_forms():
 
 def test_radii_far_below_one_match_the_closed_forms():
     # the head windows reach t where t^(n-1) overflows, and at r = 2.2e-311
-    # the head's end z_1 / (2 pi r) itself overflows; the Gaussian and the
-    # Poisson kernel stop the head at t ~ 1e8, an algebraic tail near 1e12
+    # the head's end z_1 / (2 pi r) itself overflows, as at r = 0; the
+    # Gaussian and the Poisson kernel stop the head at t ~ 1e8, an algebraic
+    # tail near 1e12, and a profile that is 0 everywhere at 1e8
     spec = QuadratureSpec()
     poisson = profile_from_text("exp(-2*pi*s)")
     cases = [(GAUSS, n, r, 1.0) for n, r in ((3, 1e-200), (8, 1e-100),
@@ -113,7 +114,9 @@ def test_radii_far_below_one_match_the_closed_forms():
                                                            (8, 1e-100),
                                                            (1, 2.2e-311))]
     # in R^3 the transform of 1/(1+|x|^2)^2 is pi^2 e^(-2 pi |xi|)
-    cases.append((profile_from_text("1/(1+s^2)^2"), 3, 2.2e-311, math.pi ** 2))
+    cases += [(profile_from_text("1/(1+s^2)^2"), 3, r, math.pi ** 2)
+              for r in (2.2e-311, 0.0)]
+    cases.append((profile_from_text("0*s"), 1, 2.2e-311, 0.0))
     for profile, n, r, exact in cases:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -121,36 +124,59 @@ def test_radii_far_below_one_match_the_closed_forms():
         assert [str(w.message) for w in caught] == [], (n, r)
         assert res.converged
         assert abs(res.value - exact) <= 10 * spec.tolerance(exact), (n, r)
+        if exact == 0.0:  # 27 windows to t = 1e8, not one by one to 9e307
+            assert res.evaluations < 1000
 
 
 def test_tiny_radii_cost_is_flat():
     # below r ~ 5e-9 every head stops just past t = 1e8, however far its end
-    # lies: the Gaussian's cost does not grow as r goes to 0
+    # lies, and so does the moment's: the Gaussian's cost does not grow as
+    # r goes to 0
     costs = {r: radial_fourier_result(GAUSS, 3, r).evaluations
-             for r in (1e-9, 1e-200, 2.2e-311)}
+             for r in (1e-9, 1e-200, 2.2e-311, 0.0)}
     assert len(set(costs.values())) == 1, costs
 
 
 def test_small_radii_reach_a_second_bump():
     # the bump at s = 100 lies past three negligible windows of the head;
-    # the head runs on to its end (or to t = 1e8) and reaches it
+    # the head runs on to its end (or to t = 1e8) and reaches it, at r = 0 too
     mpmath = pytest.importorskip("mpmath")
     profile = profile_from_text("exp(-pi*s^2) + exp(-(s-100)^2)")
     for n in (1, 3):
-        for r in (1e-3, 1e-9, 1e-200):
+        for r in (1e-3, 1e-9, 1e-200, 0.0):
             w = 2 * math.pi * r
             # the bump's transform: 2 int cos(w t) b(t) dt at n = 1 and
             # 4 pi int (sin(w t) / w) b(t) t dt at n = 3, b = e^(-(t - 100)^2)
             if n == 1:
                 kernel = lambda t: 2 * mpmath.cos(w * t)
-            else:
+            elif w:
                 kernel = lambda t: 4 * mpmath.pi * mpmath.sin(w * t) / w * t
+            else:
+                kernel = lambda t: 4 * mpmath.pi * t * t
             bump = mpmath.quad(lambda t: mpmath.exp(-(t - 100) ** 2)
                                * kernel(t), [70, 100, 130])
             exact = math.exp(-math.pi * r * r) + float(bump)
             res = radial_fourier_result(profile, n, r)
             assert res.converged, (n, r)
             assert abs(res.value - exact) <= 1e-9 * abs(exact), (n, r)
+    # a head that has read only zeros up to t = 1e8 runs on to its end
+    # z_1 / w ~ 3.8e9 at r = 1e-10, where the bump at 3e8 lies
+    c, sigma, w = 3e8, 5e6, 2 * math.pi * 1e-10
+    exact = (2 * math.sqrt(math.pi) * sigma * math.cos(w * c)
+             * math.exp(-(w * sigma) ** 2 / 4))
+    res = radial_fourier_result(f"exp(-((s-{c:g})/{sigma:g})^2)", 1, 1e-10)
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-9 * exact
+
+
+def test_divergent_moment_raises_convergence_error():
+    # the gate passes |f| t^((n+1)/2), but the moment needs |f| t^(n-1):
+    # t^4 f decays like t^-0.5 and t^-1 here, so the transform is singular
+    # at r = 0, and an endless head past 1e8 sees windows that do not shrink
+    for text in ("(1+s^2)^(-2.25)", "(1+s^2)^(-2.5)"):
+        for r in (0.0, 2.2e-311):
+            with pytest.raises(ConvergenceError):
+                radial_fourier(text, 5, r)
 
 
 def test_top_dimension_at_small_radii_is_finite():
@@ -296,6 +322,14 @@ def test_hankel_profile_domain_error_propagates():
     with pytest.raises(EvaluationDomainError) as err:
         hankel("1/(s-0.5)", 0, 1.0)
     assert err.value.value == 0.5
+
+
+def test_panel_budget_reaches_the_halfline_engine():
+    # the head and segments refine at most min(max_panels, 200) panels each
+    costs = [radial_fourier_result("exp(-2*pi*s)", 3, 1.3,
+                                   QuadratureSpec(max_panels=m)).evaluations
+             for m in (1, 2000)]
+    assert costs[0] < costs[1], costs
 
 
 def test_out_of_oscillations_raises_convergence_error():
