@@ -15,6 +15,11 @@ strategy, chosen for absolute accuracy <= 1e-12 up to x = 1e4:
   the dimension recursion F_(n+2) = -(1/(2 pi r)) dF_n/dr.  The climb runs
   upward where x >= nu and downward Miller-style below that.
 
+A call costs one regime mask (series or climb), and a climb one more (up or
+down).  An array that lies on one side of a mask goes to that side whole;
+only one that straddles it, as the kernel arguments of a transform point's
+first rounds do, is split into copies and scattered back.
+
 The series/asymptotic switch sits at 14 because the optimally truncated
 asymptotic series bottoms out near 5e-13 at x = 12; at 14 both branches
 agree to ~2e-14 (covered by an overlap test).
@@ -96,7 +101,7 @@ def _jtilde_series(nu, x):
     for m in range(1, 120):
         term = term * (-x2 / np.longdouble(4.0 * m * (m + nu)))
         total += term
-        if np.all(np.abs(term) <= 1e-22 * (peak + np.abs(total))):
+        if (np.abs(term) <= 1e-22 * (peak + np.abs(total))).all():
             break
     return np.asarray(total, dtype=float)
 
@@ -139,11 +144,38 @@ def _halfint_closed(k, x):
     return amp * np.cos(x) if k == 0 else amp * np.sin(x)
 
 
+def _halfint_pair(x):
+    """J_(-1/2) and J_(1/2) on an ndarray, sharing sqrt(2/(pi x))."""
+    amp = np.sqrt(2.0 / (math.pi * x))
+    return amp * np.cos(x), amp * np.sin(x)
+
+
+def _hankel_pair(x):
+    """J_0 and J_1 on an ndarray by Hankel's expansion."""
+    return _j_asymptotic(0, x), _j_asymptotic(1, x)
+
+
 # ---------------------------------------------------------------------------
 # the climb from the orders -1/2 and 0
 
+def _split(mask, x, inside, outside):
+    """inside(x) where mask holds and outside(x) elsewhere.  An array on one
+    side goes whole to that side's function; only a mixed one is copied
+    apart and scattered back."""
+    count = np.count_nonzero(mask)
+    if count == mask.size:
+        return inside(x)
+    if count == 0:
+        return outside(x)
+    out = np.empty_like(x)
+    out[mask] = inside(x[mask])
+    rest = ~mask
+    out[rest] = outside(x[rest])
+    return out
+
+
 def _j_large(order, x):
-    """J_nu on an ndarray x in the large-argument regime.
+    """J_nu on a nonempty ndarray x in the large-argument regime.
 
     nu = nu0 + steps climbs from nu0 = -1/2 (half-integer orders, closed
     forms) or nu0 = 0 (integer orders, Hankel's expansion) by the three-term
@@ -151,22 +183,26 @@ def _j_large(order, x):
     below that the upward climb loses digits, so the Miller recurrence runs
     down from a trial start well above nu and is rescaled by the larger of
     the two true anchors, which keeps the normalization away from their zeros.
+    The x >= nu mask is the call's one mask: an array on one side of it
+    climbs whole, and only one that straddles it is split.
     """
-    nu0, anchor = ((-0.5, _halfint_closed) if order.is_half_integer
-                   else (0.0, _j_asymptotic))
     steps = (order.twice_nu + 1) // 2
-    if steps <= 1:
-        return anchor(steps, x)
-    out = np.empty_like(x)
-    up = x >= order.nu
-    if np.any(up):
-        xs = x[up]
-        j_lo, j_hi = anchor(0, xs), anchor(1, xs)
+    if order.is_half_integer:
+        if steps <= 1:
+            return _halfint_closed(steps, x)
+        nu0, pair = -0.5, _halfint_pair
+    else:
+        if steps <= 1:
+            return _j_asymptotic(steps, x)
+        nu0, pair = 0.0, _hankel_pair
+
+    def up(xs):
+        j_lo, j_hi = pair(xs)
         for k in range(1, steps):
             j_lo, j_hi = j_hi, (2.0 * (nu0 + k) / xs) * j_hi - j_lo
-        out[up] = j_hi
-    if np.any(~up):
-        xs = x[~up]
+        return j_hi
+
+    def down(xs):
         j_hi = np.zeros_like(xs)
         j_lo = np.full_like(xs, 1e-30)
         for k in range(steps + max(18, steps // 2 + 10), 0, -1):
@@ -174,13 +210,14 @@ def _j_large(order, x):
                 top = j_lo
             # from the trial J_(nu0+k) (j_lo) and J_(nu0+k+1) down to J_(nu0+k-1)
             j_lo, j_hi = (2.0 * (nu0 + k) / xs) * j_lo - j_hi, j_lo
-        true0, true1 = anchor(0, xs), anchor(1, xs)
+        true0, true1 = pair(xs)
         use0 = np.abs(true0) >= np.abs(true1)
         denom = np.where(use0, j_lo, j_hi)
         truth = np.where(use0, true0, true1)
-        out[~up] = top * np.where(
+        return top * np.where(
             denom != 0, truth / np.where(denom != 0, denom, 1.0), 0.0)
-    return out
+
+    return _split(x >= order.nu, x, up, down)
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +233,20 @@ def _as_order(nu):
 
 
 def _jtilde_array(order, x):
-    """Jt_nu on an ndarray with x >= 0, dispatching per regime."""
+    """Jt_nu on an ndarray with x >= 0, dispatching per regime.
+
+    One mask picks the regime.  An array that lies in one regime, as every
+    segment after the first rounds of a transform point does, goes to it
+    whole; only one that straddles the switch is split.  An empty array
+    takes the series, which returns it empty.
+    """
     nu = order.nu
-    out = np.empty_like(x)
     if order.is_half_integer:
         small = x < 1.0
     else:
         small = x <= _SERIES_ASYMPTOTIC_SWITCH
-    if np.any(small):
-        out[small] = _jtilde_series(nu, x[small])
-    if np.any(~small):
-        xs = x[~small]
-        out[~small] = _j_large(order, xs) * xs ** (-nu)
-    return out
+    return _split(small, x, lambda xs: _jtilde_series(nu, xs),
+                  lambda xs: _j_large(order, xs) * xs ** (-nu))
 
 
 def bessel_j_tilde(nu, x):
@@ -216,7 +254,7 @@ def bessel_j_tilde(nu, x):
     order = _as_order(nu)
     scalar = np.isscalar(x)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise BesselDomainError("bessel_j_tilde requires x >= 0")
     out = _jtilde_array(order, arr)
     return float(out[0]) if scalar else out
@@ -227,7 +265,7 @@ def bessel_j(nu, x):
     order = _as_order(nu)
     scalar = np.isscalar(x)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr <= 0):
+    if (arr <= 0).any():
         raise BesselDomainError("bessel_j requires x > 0")
     out = _jtilde_array(order, arr) * arr ** order.nu
     return float(out[0]) if scalar else out

@@ -24,7 +24,8 @@ round is one ``integrate_finite`` call.  ``integrate_halfline_decaying`` is
 the omega = 0 line.
 
 Values may be complex (profiles with complex parameters integrate directly);
-error bookkeeping uses absolute values throughout.
+error bookkeeping uses absolute values throughout.  A result whose value or
+estimate is not finite never counts as converged.
 """
 
 from __future__ import annotations
@@ -236,7 +237,8 @@ def integrate_finite(f, a, b, spec=None, keys=None):
 
     Panels with the largest embedded-rule error are bisected first.  A
     non-convergent run (panel budget exhausted) returns the best value with
-    ``converged=False``.  With numbers a < b the result is one
+    ``converged=False``, and so does one whose value or estimate is not
+    finite.  With numbers a < b the result is one
     QuadratureResult, and NaN from the integrand raises
     PoisonedEvaluationError.  With 1-d arrays a and b it is a list with one
     result per interval, None where the integrand gave NaN; f gets the
@@ -266,7 +268,14 @@ def integrate_finite(f, a, b, spec=None, keys=None):
 def _result(value, error, panels, spec):
     # the first panel takes 15 nodes, every bisection two more panels
     return QuadratureResult(_tidy(value), error, _NODES * (2 * panels - 1),
-                            error <= spec.tolerance(value))
+                            error <= spec.tolerance(value)
+                            and _finite(value, error))
+
+
+def _finite(value, error):
+    """Whether a result may count as converged: a value or estimate that
+    is inf or NaN never does."""
+    return cmath.isfinite(value) and math.isfinite(error)
 
 
 def _tidy(value):
@@ -361,9 +370,14 @@ class _HalfLine:
         warnings.warn("integrand failed in the far tail; truncating "
                       f"at t={a:.3g} after negligible contributions",
                       RuntimeWarning, stacklevel=4)
-        return QuadratureResult(_tidy(self.partial),
-                                self.panel_err + abs(self.last_seg),
-                                self.evals, True)
+        return self._converged(self.partial,
+                               self.panel_err + abs(self.last_seg))
+
+    def _converged(self, value, error):
+        """The line's result at a converged exit: converged only if the
+        value and the estimate are finite."""
+        return QuadratureResult(_tidy(value), error, self.evals,
+                                _finite(value, error))
 
     def add_head(self, a, b, part):
         """Fold in the head window [a, b], which integrated to ``part`` (None
@@ -404,8 +418,7 @@ class _HalfLine:
                                         False)
             done = done or not self.partial
         if done:
-            return QuadratureResult(_tidy(self.partial), self.panel_err + size,
-                                    self.evals, True)
+            return self._converged(self.partial, self.panel_err + size)
         return None
 
     def add(self, k, a, seg):
@@ -433,9 +446,8 @@ class _HalfLine:
         if seg_size <= spec.abs_tol:
             self.small_streak += 1
             if self.small_streak >= 4 and k >= 4:
-                return QuadratureResult(_tidy(self.partial),
-                                        self.panel_err + 3 * seg_size,
-                                        self.evals, True)
+                return self._converged(self.partial,
+                                       self.panel_err + 3 * seg_size)
         else:
             self.small_streak = 0
 
@@ -444,8 +456,8 @@ class _HalfLine:
         if k >= 6 and len(deltas) >= 2:
             tol = spec.tolerance(self.accel)
             if deltas[-1] <= tol and deltas[-2] <= tol:
-                err = self.panel_err + 4.0 * max(deltas[-1], deltas[-2])
-                return QuadratureResult(_tidy(self.accel), err, self.evals, True)
+                return self._converged(self.accel, self.panel_err
+                                       + 4.0 * max(deltas[-1], deltas[-2]))
 
         # divergence watch: a long run of new global maxima means the tail
         # is growing outright (local humps after an integrand zero stay

@@ -67,6 +67,33 @@ def test_accuracy_against_scipy_grid():
         assert err < 1e-12, (twice_nu, err)
 
 
+def test_whole_array_regimes_match_the_split():
+    # an array that straddles x = 1, x = 14 and x = nu is split per regime;
+    # each regime's part, passed alone, takes its whole-array path
+    for twice_nu in range(-1, 121):
+        order = Order(twice_nu)
+        nu = order.nu
+        xs = np.concatenate([np.linspace(0.0, 2.0, 9), np.linspace(13.0, 15.0, 9),
+                             np.linspace(max(nu - 1.0, 0.0), nu + 1.0, 9),
+                             [14.0, max(nu, 0.0), 40.0, 1e3]])
+        switch = xs < 1.0 if order.is_half_integer else xs <= 14.0
+        expected = np.empty_like(xs)
+        for part in (switch, ~switch & (xs >= nu), ~switch & (xs < nu)):
+            if part.any():
+                expected[part] = bessel_j_tilde(order, xs[part])
+        assert np.array_equal(bessel_j_tilde(order, xs), expected), twice_nu
+        positive = xs > 0
+        assert np.array_equal(bessel_j(order, xs[positive]),
+                              expected[positive] * xs[positive] ** nu), twice_nu
+
+
+def test_empty_arrays_stay_empty():
+    for twice_nu in range(-1, 121):
+        for fn in (bessel_j_tilde, bessel_j):
+            out = fn(Order(twice_nu), np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,), twice_nu
+
+
 def _below_order_points(order):
     """x < nu inside the recurrence regime, where J_nu is far below 1e-12
     at high orders, plus the zeros there of the two anchors, where the

@@ -49,6 +49,27 @@ def test_finite_endpoint_singularity():
     assert abs(res.value - 2.0) < 1e-8
 
 
+def test_infinite_results_are_not_converged():
+    # t^-1.5 and t^-1 are not integrable at 0: the panels reach machine
+    # precision there and the value and estimate overflow to inf
+    with np.errstate(all="ignore"):
+        for power, evals in ((-1.5, 20265), (-1.0, 30525)):
+            res = integrate_finite(lambda t: t ** power, 0.0, 1.0)
+            assert res.value == math.inf and res.error_estimate == math.inf
+            assert res.evaluations == evals
+            assert not res.converged
+    # an infinite head window: the head's stop rule (omega = 0) and the
+    # negligible-terms exit (omega = 1e-3 and 1) see an inf total
+    def blowup(t):
+        return np.where(t < 1.0, np.inf, np.exp(-t))
+    with np.errstate(all="ignore"):
+        results = [integrate_halfline_decaying(blowup)] + \
+            integrate_bessel_halfline(blowup, 0.5, [0.0, 1e-3, 1.0])
+    for res in results:
+        assert res.value == math.inf
+        assert not res.converged
+
+
 def test_nan_poisoning():
     def bad(s):
         s = np.asarray(s, dtype=float)

@@ -377,6 +377,15 @@ def test_gate_blocks_and_force_overrides():
     assert res.evaluations > 0  # ran despite the failed gate
 
 
+def test_gate_rejects_an_infinite_near_piece():
+    # |f| t^(n+1) = t^-1 near 0: the near piece overflows to inf, which
+    # must fail the gate rather than pass it and poison the transform
+    with pytest.raises(IntegrabilityError) as err:
+        radial_fourier("s^(-5)", 3, 1.0)
+    assert err.value.report.failed_piece == "near"
+    assert err.value.report.near_value == math.inf
+
+
 def test_gate_verdict_is_independent_of_the_first_radius():
     # the near piece of the probe depends on r; the cached verdict must not
     for radii in ((1e-4, 1.0), (1.0, 1e-4)):
