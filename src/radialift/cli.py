@@ -97,8 +97,7 @@ def cmd_transform(args):
     profile = _transform.profile_from_text(args.profile)
     grid = parse_grid(args.grid).tolist()
     spec = _spec_from_args(args)
-    results = _transform.radial_fourier_grid(profile, args.dim, grid, spec,
-                                             force=args.force)
+    results = _transform.radial_fourier_grid(profile, args.dim, grid, spec)
     records = []
     for r, res in zip(grid, results):
         value = complex(res.value)
@@ -302,8 +301,6 @@ def build_parser():
     p = sub.add_parser("transform", help="direct radial Fourier transform")
     p.add_argument("--profile", required=True, help="profile formula in s")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--force", action="store_true",
-                   help="proceed despite an integrability-gate failure")
     add_common(p)
     p.set_defaults(fn=cmd_transform)
 

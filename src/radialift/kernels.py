@@ -19,9 +19,9 @@ closed forms, indexed by family and dimension:
 
 ``kernel_of_multiplier`` computes the kernel of f(-Delta) directly: the
 transform of t -> f(4 pi^2 t^2) (the transform is self-inverse on radial
-functions).  The absolute-integrability probe is advisory here: resolvent
-multipliers fail the sufficient condition yet converge conditionally, so a
-failed probe downgrades to a warning and the oscillatory engine decides.
+functions).  Resolvent multipliers decay only like 1/t^2, and their
+transforms converge conditionally; the oscillatory engine sums them and
+says through its flag whether it did.
 """
 
 from __future__ import annotations
@@ -154,16 +154,15 @@ def heat_kernel(n, t, r):
 def kernel_of_multiplier(f, n, r, spec=None):
     """Kernel of f(-Delta) at radius r: the transform of t -> f(4 pi^2 t^2).
 
-    ``f`` is an expression in one variable (the spectral parameter).  The
-    integrability probe only warns on failure: the sufficient condition
-    misses conditionally convergent multipliers (resolvents), which the
-    oscillatory engine sums fine.  Non-convergence still raises.
+    ``f`` is an expression in one variable (the spectral parameter).  A
+    multiplier that is not integrable near 0 raises IntegrabilityError, and
+    one whose transform does not converge raises ConvergenceError.
     """
     if isinstance(f, str):
         f = _expr.parse(f)
     inner = Product(Constant(4.0 * math.pi ** 2), IntegerPower(S, 2))
     profile = AnalyticProfile(_expr.simplify(f.substitute(inner)))
-    res = radial_fourier_result(profile, n, r, spec, force=True)
+    res = radial_fourier_result(profile, n, r, spec)
     if not res.converged:
         from .errors import ConvergenceError
         raise ConvergenceError(

@@ -339,7 +339,7 @@ def lift_once_at_zero(profile, engine=None):
     return LiftResult(_real(-values[2] / _TWO_PI), abs(bounds[2]) / _TWO_PI)
 
 
-def lift_prediff(profile, n, r, spec=None, force=False):
+def lift_prediff(profile, n, r, spec=None):
     """Pre-differentiated lift: differentiate the input profile, then transform.
 
     Builds eta(t) = n f(t) + t f'(t) symbolically and returns
@@ -355,7 +355,7 @@ def lift_prediff(profile, n, r, spec=None, force=False):
     eta = _expr.simplify(_expr.Sum(
         _expr.Product(_expr.Constant(float(n)), e),
         _expr.Product(_expr.S, de)))
-    transformed = radial_fourier(AnalyticProfile(eta), n, r, spec, force)
+    transformed = radial_fourier(AnalyticProfile(eta), n, r, spec)
     return _real(transformed / (_TWO_PI * r * r))
 
 

@@ -17,11 +17,20 @@ the windows [0, 1], [1, 3], [3, 7], ... cut at its end, so that a profile
 living near 0 is seen even when omega is tiny.  Every head runs to
 min(end, 1e8) and may stop past that once three windows in a row are
 negligible.  A head with no end (omega = 0, the moment, or z_1 / omega
-overflowed) also stops there at once if it has read only zeros, and ends
-unconverged after eight windows in a row that barely shrink.  The heads go
-first, then the segments, the next segment of every omega per round; each
-round is one ``integrate_finite`` call.  ``integrate_halfline_decaying`` is
-the omega = 0 line.
+overflowed) also stops there at once if it has read only zeros.  The heads
+go first, then the segments, the next segment of every omega per round;
+each round is one ``integrate_finite`` call.  ``integrate_halfline_decaying``
+is the omega = 0 line.
+
+The engine's flag is the verdict on the tail, so two rules keep a tail that
+does not decay from reading as converged:
+
+* the accelerated exit also needs the last two segments to shrink, each
+  below 0.999 times the one before: the epsilon table can steady on a value
+  that is not the integral while the segments grow or hold their size;
+* every head, not only an endless one, ends unconverged after eight
+  windows in a row past 1e8, each above 100 abs_tol and over 0.99 times
+  the one before.
 
 Values may be complex (profiles with complex parameters integrate directly);
 error bookkeeping uses absolute values throughout.  A result whose value or
@@ -326,8 +335,8 @@ class _HalfLine:
 
     __slots__ = ("spec", "end", "a", "width", "head_streak",
                  "partial", "evals", "panel_err", "wynn", "accel",
-                 "accel_deltas", "small_streak", "grow_streak", "max_seg",
-                 "last_seg")
+                 "accel_deltas", "small_streak", "grow_streak",
+                 "shrink_streak", "max_seg", "last_seg")
 
     def __init__(self, spec, end):
         self.spec = spec
@@ -343,6 +352,7 @@ class _HalfLine:
         self.accel_deltas = []
         self.small_streak = 0
         self.grow_streak = 0
+        self.shrink_streak = 0
         self.max_seg = 0.0
         self.last_seg = math.inf
 
@@ -386,11 +396,11 @@ class _HalfLine:
 
         Once a window reaches t = 1e8, the head stops after three windows
         in a row, each negligible against the nonzero running total and no
-        larger than the one before.  A head with no end also stops at once
-        while that total is still exactly 0 (so a profile that lives only
-        beyond 1e8 reads 0 there), and ends unconverged after eight windows
+        larger than the one before, and ends unconverged after eight windows
         in a row, each above 100 abs_tol and over 0.99 times the one
-        before, as a divergent moment's are."""
+        before, as a divergent integral's are.  A head with no end also
+        stops at once while that total is still exactly 0 (so a profile
+        that lives only beyond 1e8 reads 0 there)."""
         if part is None:
             return self._truncate(a)
         spec = self.spec
@@ -406,18 +416,14 @@ class _HalfLine:
         self.last_seg = size
         if b < _HEAD_REACH:
             return None
-        done = self.head_streak >= 3
-        if self.end == math.inf:
-            # divergence watch: 0.99^1000 > 1e-5, and fewer than 1000
-            # windows lie between 1e8 and overflow, so a tail that shrinks
-            # more slowly never meets the tolerance
-            self.grow_streak = self.grow_streak + 1 if grew else 0
-            if self.grow_streak >= 8:
-                return QuadratureResult(_tidy(self.partial),
-                                        self.panel_err + size, self.evals,
-                                        False)
-            done = done or not self.partial
-        if done:
+        # divergence watch: 0.99^1000 > 1e-5, and fewer than 1000 windows
+        # lie between 1e8 and overflow, so a tail that shrinks more slowly
+        # never meets the tolerance
+        self.grow_streak = self.grow_streak + 1 if grew else 0
+        if self.grow_streak >= 8:
+            return QuadratureResult(_tidy(self.partial),
+                                    self.panel_err + size, self.evals, False)
+        if self.head_streak >= 3 or (self.end == math.inf and not self.partial):
             return self._converged(self.partial, self.panel_err + size)
         return None
 
@@ -451,9 +457,14 @@ class _HalfLine:
         else:
             self.small_streak = 0
 
-        # accelerated exit: epsilon estimates have stabilized
+        # accelerated exit: epsilon estimates have stabilized while the last
+        # two segments shrink; a tail that grows or holds its size (a
+        # divergent or merely bounded oscillation) can also steady the
+        # epsilon table, on a value that is not the integral
+        self.shrink_streak = self.shrink_streak + 1 \
+            if seg_size < 0.999 * self.last_seg else 0
         deltas = self.accel_deltas
-        if k >= 6 and len(deltas) >= 2:
+        if k >= 6 and len(deltas) >= 2 and self.shrink_streak >= 2:
             tol = spec.tolerance(self.accel)
             if deltas[-1] <= tol and deltas[-2] <= tol:
                 return self._converged(self.accel, self.panel_err
@@ -498,10 +509,11 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
     beyond a gap is not cut off.  Past t = 1e8 it stops once three windows
     in a row are negligible against the nonzero running total, each no
     larger than the one before; the total is then the result, converged.
-    At omega = 0, and where z_1 / omega overflows, the head has no end: past
-    t = 1e8 it also stops at once with a total still exactly 0, converged,
-    and after eight windows in a row, each over 0.99 times the one before,
-    unconverged: a divergent moment's windows do not shrink.
+    Past 1e8 a head also ends unconverged after eight windows in a row,
+    each over 0.99 times the one before: a divergent integral's windows do
+    not shrink.  At omega = 0, and where z_1 / omega overflows, the head has
+    no end: past t = 1e8 it also stops at once with a total still exactly 0,
+    converged.
     Segments or head windows whose integrand overflows are truncated (with
     a warning) once three consecutive contributions fall below abs_tol.
     """

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import expr as _expr
 from .bessel import Order, _as_order, bessel_j
-from .errors import ConvergenceError, IntegrabilityError
+from .errors import (ConvergenceError, IntegrabilityError,
+                     PoisonedEvaluationError)
 from .quadrature import (QuadratureSpec, integrate_finite,
                          integrate_bessel_halfline, split_halfline_at_zeros)
 
@@ -170,86 +171,48 @@ def _as_profile(f):
 
 
 # ---------------------------------------------------------------------------
-# integrability gate (sufficient condition, probed numerically)
+# integrability gate: the near piece only
 
 @dataclass
 class IntegrabilityReport:
-    """Outcome of probing the two absolute-integrability pieces.
+    """Outcome of probing the near piece integral_0^1 |f| t^(n-1) dt.
 
-    The near piece is integral_0^1 |f| t^(n+1) dt; the tail piece is
-    integral_1^inf |f| t^((n+1)/2) dt, probed up to the cutoff 1e4 with
-    a geometric-window trend test.
+    That piece decides whether f is locally integrable in n-space.  Whether
+    the tail converges is the half-line engine's verdict, reported by each
+    result's ``converged`` flag.
     """
 
     passed: bool
     near_value: float
-    tail_value: float
-    tail_ratio: float
-    failed_piece: str | None = None
 
     def __bool__(self):
         return self.passed
 
     def __str__(self):
-        if self.passed:
-            return (f"integrability probe passed (near={self.near_value:.4g}, "
-                    f"tail={self.tail_value:.4g})")
-        return (f"integrability probe failed: {self.failed_piece} piece divergent "
-                f"(near={self.near_value:.4g}, tail={self.tail_value:.4g}, "
-                f"window ratio {self.tail_ratio:.3g})")
-
-
-_GATE_CUTOFF = 1e4
+        verdict = "passed" if self.passed else "failed: near piece divergent"
+        return f"integrability probe {verdict} (near={self.near_value:.4g})"
 
 
 def integrability_check(f, n):
-    """Probe the sufficient integrability condition for the transform in
-    dimension n, split into a near and a tail piece at t = 1.
-
-    Heuristic by design: finite cutoff plus window-trend extrapolation.  The
-    condition is sufficient, not necessary; conditionally convergent
-    integrands can fail it and still be computable (see ``force`` on
-    radial_fourier).
-    """
+    """Probe whether f is integrable near 0 in dimension n: whether
+    integral_0^1 |f| t^(n-1) dt converges.  A NaN from the integrand, as
+    inf * 0 gives where the profile overflows, fails the probe."""
     profile = _as_profile(f)
     n = _check_dimension(n)
     probe_spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-13, max_panels=400)
-
-    def absf(t):
-        return np.abs(profile.values(t))
-
-    near = integrate_finite(lambda t: absf(t) * t ** (n + 1), 0.0, 1.0,
-                            probe_spec)
-    if not near.converged:
-        return IntegrabilityReport(False, abs(near.value), 0.0, math.inf, "near")
-
-    power = (n + 1) / 2.0
-    a = 1.0
-    total = 0.0
-    prev = None
-    ratio = 0.0
-    # full doubling windows only; a truncated last window would bias the trend
-    while 2.0 * a <= _GATE_CUTOFF:
-        b = 2.0 * a
-        w = integrate_finite(lambda t: absf(t) * t ** power, a, b, probe_spec)
-        contrib = abs(w.value)
-        total += contrib
-        if prev is not None and prev > 0:
-            ratio = contrib / prev
-        prev = contrib
-        if contrib < 1e-13 * (1.0 + total):
-            return IntegrabilityReport(True, abs(near.value), total, ratio)
-        a = b
-    if ratio >= 0.95:
-        return IntegrabilityReport(False, abs(near.value), total, ratio, "tail")
-    # extrapolate the remaining geometric tail
-    tail_extra = prev * ratio / (1.0 - ratio) if 0 < ratio < 1 else 0.0
-    return IntegrabilityReport(True, abs(near.value), total + tail_extra, ratio)
+    try:
+        with np.errstate(all="ignore"):
+            near = integrate_finite(
+                lambda t: np.abs(profile.values(t)) * t ** (n - 1), 0.0, 1.0,
+                probe_spec)
+    except PoisonedEvaluationError:
+        return IntegrabilityReport(False, math.nan)
+    return IntegrabilityReport(near.converged, abs(near.value))
 
 
-def _gate(profile, n, force):
-    """Integrability report for dimension n, probed once per profile; the
-    probe takes no radius, so the verdict holds at every radius."""
+def _gate(profile, n):
+    """Raise IntegrabilityError unless f is integrable near 0 in dimension
+    n; probed once per profile, since the probe takes no radius."""
     cache = getattr(profile, "_gate_cache", None)
     if cache is None:
         cache = {}
@@ -262,11 +225,7 @@ def _gate(profile, n, force):
         report = integrability_check(profile, n)
         cache[n] = report
     if not report.passed:
-        if not force:
-            raise IntegrabilityError(report)
-        warnings.warn(f"forcing transform despite gate failure: {report}",
-                      RuntimeWarning, stacklevel=3)
-    return report
+        raise IntegrabilityError(report)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +248,14 @@ def _finalize(profile, quad, method):
                            quad.converged, method)
 
 
-def radial_fourier_grid(f, n, radii, spec=None, force=False):
+def radial_fourier_grid(f, n, radii, spec=None):
     """Full-diagnostics radial Fourier transform in dimension n at every radius.
 
-    The gate runs once, and every radius, 0 included, goes through one
-    lockstep half-line pass; at r = 0 that pass gives the moment.  Returns
-    one TransformResult per radius, in order.
+    The gate runs once and raises IntegrabilityError for a profile that is
+    not integrable near 0.  Every radius, 0 included, then goes through one
+    lockstep half-line pass; at r = 0 that pass gives the moment.  A tail
+    that diverges, or only oscillates without decaying, gives
+    ``converged=False``.  Returns one TransformResult per radius, in order.
     """
     profile = _as_profile(f)
     n = _check_dimension(n)
@@ -306,7 +267,7 @@ def radial_fourier_grid(f, n, radii, spec=None, force=False):
     order = Order.for_dimension(n)
     prefactor = (2.0 * math.pi) ** (n / 2.0)
 
-    _gate(profile, n, force)
+    _gate(profile, n)
 
     def g(t):
         # 0 where the profile is: t^(n-1) may overflow there, and inf * 0 is NaN
@@ -321,16 +282,16 @@ def radial_fourier_grid(f, n, radii, spec=None, force=False):
     return [_finalize(profile, quad, "direct") for quad in quads]
 
 
-def radial_fourier_result(f, n, r, spec=None, force=False):
+def radial_fourier_result(f, n, r, spec=None):
     """Full-diagnostics radial Fourier transform in dimension n at radius r."""
     if np.ndim(r) != 0:
         raise TypeError("r must be a scalar; use radial_fourier_grid for grids")
-    return radial_fourier_grid(f, n, [float(r)], spec, force)[0]
+    return radial_fourier_grid(f, n, [float(r)], spec)[0]
 
 
-def radial_fourier(f, n, r, spec=None, force=False):
+def radial_fourier(f, n, r, spec=None):
     """Radial Fourier transform value; raises ConvergenceError if not converged."""
-    res = radial_fourier_result(f, n, r, spec, force)
+    res = radial_fourier_result(f, n, r, spec)
     if not res.converged:
         raise ConvergenceError(
             f"transform quadrature did not converge at r={r} "

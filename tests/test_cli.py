@@ -69,10 +69,31 @@ def test_transform_syntax_error(capsys):
 
 
 def test_transform_gate_failure_exits_hard(capsys):
-    code, _, err = run_cli(capsys, "transform", "--profile", "1",
-                           "--dim", "3", "--grid", "1:1:1")
+    # |f| t^(n-1) = t^-3 is not integrable near 0
+    code, out, err = run_cli(capsys, "transform", "--profile", "s^(-5)",
+                             "--dim", "3", "--grid", "0:1:3")
     assert code == EXIT_ERROR
-    assert "tail" in err
+    assert out == ""
+    assert err.startswith("error: integrability probe failed: near piece")
+
+
+def test_transform_divergent_tail_names_each_point(capsys):
+    # 1 passes the gate; the engine finds every tail divergent
+    code, out, err = run_cli(capsys, "transform", "--profile", "1",
+                             "--dim", "3", "--grid", "0:1:3")
+    assert code == EXIT_PARTIAL
+    assert [row["r"] for row in read_csv(out)] == [0.0, 0.5, 1.0]
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for line, r in zip(lines, ("0.0", "0.5", "1.0")):
+        assert line.startswith(f"warning: r={r} not converged (estimate ")
+
+
+def test_transform_force_is_gone(capsys):
+    code, _, err = run_cli(capsys, "transform", "--profile", "exp(-s)",
+                           "--dim", "3", "--grid", "1:1:1", "--force")
+    assert code == EXIT_ERROR
+    assert "--force" in err
 
 
 def test_transform_partial_convergence_exit(capsys):

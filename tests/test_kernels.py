@@ -164,25 +164,23 @@ def test_multiplier_heat_kernel():
 
 
 def test_multiplier_resolvent_agreement():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        value = kernel_of_multiplier("1/(s+1)", 3, 1.0)
-        assert abs(value - resolvent_kernel(3, -1.0, 1.0)) < 1e-6
-        value = kernel_of_multiplier("1/(s+1)", 1, 2.0)
-        assert abs(value - resolvent_kernel(1, -1.0, 2.0)) < 1e-6
-        value = kernel_of_multiplier("1/(s - (-2 + 1*i))", 3, 1.0)
-        assert abs(value - resolvent_kernel(3, -2 + 1j, 1.0)) < 1e-6
-        value = kernel_of_multiplier("1/(s - (-2 + 1*i))", 1, 1.0)
-        assert abs(value - resolvent_kernel(1, -2 + 1j, 1.0)) < 1e-6
+    value = kernel_of_multiplier("1/(s+1)", 3, 1.0)
+    assert abs(value - resolvent_kernel(3, -1.0, 1.0)) < 1e-6
+    value = kernel_of_multiplier("1/(s+1)", 1, 2.0)
+    assert abs(value - resolvent_kernel(1, -1.0, 2.0)) < 1e-6
+    value = kernel_of_multiplier("1/(s - (-2 + 1*i))", 3, 1.0)
+    assert abs(value - resolvent_kernel(3, -2 + 1j, 1.0)) < 1e-6
+    value = kernel_of_multiplier("1/(s - (-2 + 1*i))", 1, 1.0)
+    assert abs(value - resolvent_kernel(1, -2 + 1j, 1.0)) < 1e-6
 
 
 def test_multiplier_gate_warning():
-    # one gate, one warning
+    # a resolvent multiplier is integrable near 0 and its transform
+    # converges conditionally: the gate passes it, and nothing warns
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = kernel_of_multiplier("1/(s+1)", 3, 1.0)
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert "gate failure" in str(caught[0].message)
+    assert caught == []
     assert abs(value - resolvent_kernel(3, -1.0, 1.0)) < 1e-6
 
 
