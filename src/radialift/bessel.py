@@ -4,9 +4,16 @@ Orders are integer or half-integer with nu >= -1/2, which is exactly what the
 radial transform needs (nu = n/2 - 1 for dimension n >= 1).  Evaluation
 strategy, chosen for absolute accuracy <= 1e-12 up to x = 1e4:
 
-* x < 1 (half-integer orders) and x <= 14 (integer orders): power series of
-  Jt_nu, accumulated in extended precision to beat the cancellation near
-  the upper end of the range.
+* nu = -1/2 and nu = 1/2 (dimensions 1 and 3): the closed forms
+  Jt_(-1/2)(x) = sqrt(2/pi) cos x and Jt_(1/2)(x) = sqrt(2/pi) sin x / x on
+  the whole half line.  The paper's step n -> n + 2 on the kernel,
+  Jt_(nu+1)(x) = -(1/x) d/dx Jt_nu(x), takes the first to the second.
+* x < 1 (the other half-integer orders) and x <= 14 (integer orders): power
+  series of Jt_nu, accumulated in extended precision to beat the
+  cancellation near the upper end of the range.  Below 1 every term is at
+  least 10x smaller than the one before, so the half-integer series picks
+  its length once per call and forms all its terms in one pass; the
+  integer-order series adds a term at a time until the last is negligible.
 * beyond that, one climb from the kernels of dimensions 1 and 2: every
   order is reached from nu0 = -1/2 (half-integer orders, anchored by the
   closed forms sqrt(2/(pi x)) cos x and sqrt(2/(pi x)) sin x) or nu0 = 0
@@ -15,10 +22,11 @@ strategy, chosen for absolute accuracy <= 1e-12 up to x = 1e4:
   the dimension recursion F_(n+2) = -(1/(2 pi r)) dF_n/dr.  The climb runs
   upward where x >= nu and downward Miller-style below that.
 
-A call costs one regime mask (series or climb), and a climb one more (up or
-down).  An array that lies on one side of a mask goes to that side whole;
-only one that straddles it, as the kernel arguments of a transform point's
-first rounds do, is split into copies and scattered back.
+A call costs at most one regime mask (series or climb), and a climb one more
+(up or down); the closed forms need none.  An array that lies on one side of
+a mask goes to that side whole; only one that straddles it, as the kernel
+arguments of a transform point's first rounds do, is split into copies and
+scattered back.
 
 The series/asymptotic switch sits at 14 because the optimally truncated
 asymptotic series bottoms out near 5e-13 at x = 12; at 14 both branches
@@ -43,6 +51,7 @@ __all__ = ["Order", "bessel_j", "bessel_j_tilde", "bessel_zeros", "jtilde_at_zer
 
 _SERIES_ASYMPTOTIC_SWITCH = 14.0
 _MAX_TWICE_NU = 120
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,29 @@ def _jtilde_series(nu, x):
     return np.asarray(total, dtype=float)
 
 
+def _halfint_series(nu, x):
+    """Jt_nu for a half-integer nu >= 3/2 on an ndarray with 0 <= x < 1.
+
+    The series of ``_jtilde_series`` in one pass.  Below 1 each term is at
+    least 10x smaller than the one before, with no cancellation to speak of,
+    so the largest argument, in Python floats, picks the term count for the
+    whole array: its last term is below 1e-22 of the first.  Every term is
+    then one cumulative product over an (arguments x terms) extended
+    precision array, and the sum is rounded once.
+    """
+    if x.size == 0:
+        return np.empty_like(x)
+    x2_max, size, denominators = float(x.max()) ** 2, 1.0, []
+    while size > 1e-22:
+        m = len(denominators) + 1
+        denominators.append(4.0 * m * (m + nu))
+        size *= x2_max / denominators[-1]
+    xl = x.astype(np.longdouble)
+    terms = np.cumprod(np.divide.outer(
+        -(xl * xl), np.array(denominators, dtype=np.longdouble)), axis=1)
+    return (jtilde_at_zero(nu) * (1.0 + terms.sum(axis=1))).astype(float)
+
+
 # ---------------------------------------------------------------------------
 # the anchors: Hankel's expansion for orders 0 and 1, closed forms for -1/2, 1/2
 
@@ -136,12 +168,6 @@ def _j_asymptotic(nu_int, x):
             p += term if k % 4 == 0 else -term
     chi = x - nu_int * (math.pi / 2.0) - math.pi / 4.0
     return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _halfint_closed(k, x):
-    """J_(k - 1/2) for k in {0, 1} on an ndarray: sqrt(2/(pi x)) cos x or sin x."""
-    amp = np.sqrt(2.0 / (math.pi * x))
-    return amp * np.cos(x) if k == 0 else amp * np.sin(x)
 
 
 def _halfint_pair(x):
@@ -175,7 +201,7 @@ def _split(mask, x, inside, outside):
 
 
 def _j_large(order, x):
-    """J_nu on a nonempty ndarray x in the large-argument regime.
+    """J_nu on a nonempty ndarray x in the large-argument regime, nu != +-1/2.
 
     nu = nu0 + steps climbs from nu0 = -1/2 (half-integer orders, closed
     forms) or nu0 = 0 (integer orders, Hankel's expansion) by the three-term
@@ -188,8 +214,6 @@ def _j_large(order, x):
     """
     steps = (order.twice_nu + 1) // 2
     if order.is_half_integer:
-        if steps <= 1:
-            return _halfint_closed(steps, x)
         nu0, pair = -0.5, _halfint_pair
     else:
         if steps <= 1:
@@ -233,42 +257,55 @@ def _as_order(nu):
 
 
 def _jtilde_array(order, x):
-    """Jt_nu on an ndarray with x >= 0, dispatching per regime.
+    """Jt_nu on a 1-d ndarray with x >= 0 (NaN passes through).
 
-    One mask picks the regime.  An array that lies in one regime, as every
-    segment after the first rounds of a transform point does, goes to it
-    whole; only one that straddles the switch is split.  An empty array
+    nu = -1/2 and 1/2 are closed forms on the whole array.  For every other
+    order one mask picks the regime: the series below 1 (half-integer) or up
+    to 14 (integer), the climb beyond.  An array that lies in one regime, as
+    every segment after the first rounds of a transform point does, goes to
+    it whole; only one that straddles the switch is split.  An empty array
     takes the series, which returns it empty.
     """
     nu = order.nu
+    if order.twice_nu == -1:
+        return _SQRT_2_OVER_PI * np.cos(x)
+    if order.twice_nu == 1:
+        return _SQRT_2_OVER_PI * np.divide(np.sin(x), x, out=np.ones(x.shape),
+                                           where=x != 0)
     if order.is_half_integer:
-        small = x < 1.0
+        small, series = x < 1.0, _halfint_series
     else:
-        small = x <= _SERIES_ASYMPTOTIC_SWITCH
-    return _split(small, x, lambda xs: _jtilde_series(nu, xs),
+        small, series = x <= _SERIES_ASYMPTOTIC_SWITCH, _jtilde_series
+    return _split(small, x, lambda xs: series(nu, xs),
                   lambda xs: _j_large(order, xs) * xs ** (-nu))
 
 
 def bessel_j_tilde(nu, x):
-    """Jt_nu(x) = x^(-nu) J_nu(x), continuous at 0; scalar or ndarray x >= 0."""
+    """Jt_nu(x) = x^(-nu) J_nu(x), continuous at 0; x >= 0 or NaN.
+
+    A scalar gives a float and an array an array of its shape.  A 1-d float
+    array, as every kernel call of a transform passes, goes to the kernel
+    as it is, after the one sign check.
+    """
     order = _as_order(nu)
-    scalar = np.isscalar(x)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if (arr < 0).any():
-        raise BesselDomainError("bessel_j_tilde requires x >= 0")
-    out = _jtilde_array(order, arr)
-    return float(out[0]) if scalar else out
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
+        if np.count_nonzero(x < 0):
+            raise BesselDomainError("bessel_j_tilde requires x >= 0")
+        return _jtilde_array(order, x)
+    arr = np.asarray(x, dtype=float)
+    out = bessel_j_tilde(order, arr.ravel()).reshape(arr.shape)
+    return float(out) if np.isscalar(x) else out
 
 
 def bessel_j(nu, x):
-    """Classical J_nu(x); scalar or ndarray, x > 0."""
+    """Classical J_nu(x); x > 0 or NaN.  Shapes as for ``bessel_j_tilde``."""
     order = _as_order(nu)
-    scalar = np.isscalar(x)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if (arr <= 0).any():
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    if np.count_nonzero(flat <= 0):
         raise BesselDomainError("bessel_j requires x > 0")
-    out = _jtilde_array(order, arr) * arr ** order.nu
-    return float(out[0]) if scalar else out
+    out = (_jtilde_array(order, flat) * flat ** order.nu).reshape(arr.shape)
+    return float(out) if np.isscalar(x) else out
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class RadialProfile:
 
     def value(self, t):
         out = complex(self.values(np.asarray([float(t)]))[0])
-        return out if self.is_complex else out.real
+        return out if self.is_complex or out.imag != 0.0 else out.real
 
     def __call__(self, t):
         return self.value(t)
@@ -241,8 +241,12 @@ class TransformResult:
 
 
 def _finalize(profile, quad, method):
+    # a profile with only real constants may still take complex values, as
+    # sqrt(s-2) does on [0, 2): its imaginary part is dropped only where it
+    # is lost in the error estimate
     value = complex(quad.value)
-    if not profile.is_complex:
+    if not profile.is_complex and (value.imag == 0.0
+                                   or abs(value.imag) <= quad.error_estimate):
         value = value.real
     return TransformResult(value, quad.error_estimate, quad.evaluations,
                            quad.converged, method)

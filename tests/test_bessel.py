@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 
 from radialift.bessel import (Order, bessel_j, bessel_j_tilde, bessel_zeros,
                               jtilde_at_zero)
@@ -31,13 +32,67 @@ def test_half_integer_closed_forms():
                                                          abs=1e-14)
     # J_{1/2}(pi) = 0 since sin(pi) = 0
     assert abs(bessel_j(Order(1), math.pi)) < 1e-12
-    xs = np.linspace(0.01, 40.0, 300)
-    assert np.max(np.abs(bessel_j_tilde(Order(-1), xs)
-                         - math.sqrt(2 / math.pi) * np.cos(xs))) < 1e-13
-    jt = bessel_j_tilde(Order(1), xs)
-    assert np.max(np.abs(jt - math.sqrt(2 / math.pi) * np.sin(xs) / xs)) < 1e-13
-    assert bessel_j_tilde(Order(1), 0.0) == pytest.approx(math.sqrt(2 / math.pi),
-                                                          abs=1e-15)
+    # Jt_(-1/2) and Jt_(1/2) are these closed forms on the whole half line,
+    # with no series near 0 and no power x^(-nu) beyond 1
+    xs = np.concatenate([np.linspace(0.0, 40.0, 4001), [5e-324, 1e-300, 1e300]])
+    c = math.sqrt(2 / math.pi)
+    assert np.array_equal(bessel_j_tilde(Order(-1), xs), c * np.cos(xs))
+    sinc = np.ones_like(xs)
+    sinc[xs != 0] = np.sin(xs[xs != 0]) / xs[xs != 0]
+    assert np.array_equal(bessel_j_tilde(Order(1), xs), c * sinc)
+    assert bessel_j_tilde(Order(1), 0.0) == c
+
+
+def _reference_series(nu, x):
+    """The half-integer kernel below 1 as the term-by-term loop it replaced:
+    add a term at a time until the last is below 1e-22 of the sum."""
+    xl = np.asarray(x, dtype=np.longdouble)
+    x2 = xl * xl
+    peak = np.longdouble(jtilde_at_zero(nu))
+    term = np.full_like(xl, peak)
+    total = term.copy()
+    for m in range(1, 120):
+        term = term * (-x2 / np.longdouble(4.0 * m * (m + nu)))
+        total += term
+        if (np.abs(term) <= 1e-22 * (peak + np.abs(total))).all():
+            break
+    return np.asarray(total, dtype=float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+def test_one_pass_series_matches_the_loop(values):
+    xs = np.array(values + [0.0, np.nextafter(1.0, 0.0)])
+    # four roundings of the result, fixed from the dtype beforehand
+    bound = 4 * np.finfo(float).eps
+    for twice_nu in range(3, 120, 2):
+        order = Order(twice_nu)
+        err = np.abs(bessel_j_tilde(order, xs) - _reference_series(order.nu, xs))
+        assert err.max() <= bound * jtilde_at_zero(order), twice_nu
+
+
+def test_fast_path_keeps_nan_and_checks_the_sign():
+    # the engine detects a poisoned integrand by the NaN it leaves in place
+    for twice_nu in (-1, 1, 3, 0):
+        out = bessel_j_tilde(Order(twice_nu), np.array([math.nan, 1.0]))
+        assert math.isnan(out[0]) and out[1] == bessel_j_tilde(Order(twice_nu), 1.0)
+        with pytest.raises(BesselDomainError):
+            bessel_j_tilde(Order(twice_nu), np.array([1.0, -1e-300]))
+
+
+def test_shapes_follow_the_argument():
+    for fn in (bessel_j_tilde, bessel_j):
+        for twice_nu in (-1, 0, 1, 3):
+            order = Order(twice_nu)
+            scalar = fn(order, 2.0)
+            assert type(scalar) is float
+            zero_d = fn(order, np.array(2.0))
+            assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+            assert float(zero_d) == scalar
+            assert type(fn(order, np.float64(2.0))) is float
+            grid = fn(order, np.full((2, 3), 2.0))
+            assert grid.shape == (2, 3) and (grid == scalar).all()
+            assert fn(order, [2.0]).tolist() == [scalar]
 
 
 def test_jtilde_at_zero_values():
@@ -69,14 +124,20 @@ def test_accuracy_against_scipy_grid():
 
 def test_whole_array_regimes_match_the_split():
     # an array that straddles x = 1, x = 14 and x = nu is split per regime;
-    # each regime's part, passed alone, takes its whole-array path
+    # each regime's part, passed alone, takes its whole-array path.  At
+    # nu = -1/2 and 1/2 the closed form is the one regime on the whole line
     for twice_nu in range(-1, 121):
         order = Order(twice_nu)
         nu = order.nu
         xs = np.concatenate([np.linspace(0.0, 2.0, 9), np.linspace(13.0, 15.0, 9),
                              np.linspace(max(nu - 1.0, 0.0), nu + 1.0, 9),
                              [14.0, max(nu, 0.0), 40.0, 1e3]])
-        switch = xs < 1.0 if order.is_half_integer else xs <= 14.0
+        if twice_nu in (-1, 1):
+            switch = np.ones(xs.shape, dtype=bool)
+        elif order.is_half_integer:
+            switch = xs < 1.0
+        else:
+            switch = xs <= 14.0
         expected = np.empty_like(xs)
         for part in (switch, ~switch & (xs >= nu), ~switch & (xs < nu)):
             if part.any():

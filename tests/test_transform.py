@@ -555,3 +555,24 @@ def test_analytic_profile_complex_detection():
     assert prof.is_complex
     value = radial_fourier(prof, 1, 0.5)
     assert isinstance(value, complex)
+
+
+def test_real_constants_keep_an_imaginary_value():
+    # sqrt(s-2) is imaginary on [0, 2); at n = 3 the transform is
+    # (2/r) int_0^inf f(t) sin(2 pi r t) t dt, here against mpmath
+    import mpmath
+    with mpmath.workdps(30):
+        exact = complex(2 * mpmath.quad(
+            lambda t: mpmath.sqrt(t - 2) * mpmath.exp(-t)
+            * mpmath.sin(2 * mpmath.pi * t) * t,
+            [0] + [2 + k / 2 for k in range(120)] + [mpmath.inf]))
+    assert abs(exact - (0.02416476315698 + 0.00787794952977j)) < 1e-13
+    res = radial_fourier_result("sqrt(s-2)*exp(-s)", 3, 1.0)
+    assert res.converged and isinstance(res.value, complex)
+    assert abs(res.value - exact) <= max(res.error_estimate, 1e-12)
+    # an imaginary part of exactly 0 still comes back real
+    assert isinstance(radial_fourier_result("sqrt(s+2)*exp(-s)", 3, 1.0).value,
+                      float)
+    # and so does a single profile value
+    assert profile_from_text("sqrt(s-2)")(1.0) == 1j
+    assert type(profile_from_text("sqrt(s-2)")(3.0)) is float
