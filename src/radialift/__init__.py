@@ -16,8 +16,8 @@ from .lift import (AnalyticEngine, CentralFDEngine, ChebyshevEngine,
                    CoefficientTable, corollary_coefficients,
                    iterate_operator_symbolic, lift_once, lift_once_at_zero,
                    lift_once_symbolic, lift_prediff, lift_to_dimension)
-from .quadrature import (QuadratureResult, QuadratureSpec,
-                         integrate_bessel_halfline, integrate_finite)
+from .quadrature import (QuadratureResult, QuadratureSpec, integrate_finite,
+                         split_halfline_at_zeros)
 from .transform import (AnalyticProfile, CallableProfile, RadialProfile,
                         SampledProfile, hankel, hankel_fourier_relation,
                         integrability_check, profile_from_text, radial_fourier,
@@ -37,7 +37,7 @@ __all__ = [
     "lift_once", "lift_once_symbolic", "lift_once_at_zero", "lift_prediff",
     "lift_to_dimension",
     "QuadratureSpec", "QuadratureResult", "integrate_finite",
-    "integrate_bessel_halfline",
+    "split_halfline_at_zeros",
     "RadialProfile", "AnalyticProfile", "SampledProfile", "CallableProfile",
     "profile_from_text", "radial_fourier", "radial_fourier_grid",
     "radial_fourier_result", "hankel",

@@ -196,7 +196,7 @@ def _suite_recursion(seed, stream):
         for r in (0.5, 1.0):
             inner = _transform.CallableProfile(
                 lambda rho, p=profile, nn=n: _transform.radial_fourier(p, nn, rho))
-            lifted = _lift.lift_once(inner, r, _lift.CentralFDEngine(0.01, 2)).value
+            lifted = _lift.lift_once(inner, r, _lift.CentralFDEngine(0.01)).value
             direct = _transform.radial_fourier(profile, n + 2, r)
             worst = max(worst, abs(lifted - direct))
         ok &= _check(f"recursion.{text}@n={n}", worst < 1e-6,
@@ -344,8 +344,11 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, ConvergenceError, EngineError,
-            PoisonedEvaluationError, ZeroFindingError) as exc:
+            PoisonedEvaluationError, ZeroFindingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: the profile is nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

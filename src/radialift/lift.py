@@ -36,6 +36,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import EngineError, ParityError
+from .quadrature import _tidy
 from .transform import (AnalyticProfile, CallableProfile, _as_profile,
                         radial_fourier)
 
@@ -201,6 +202,10 @@ def _fornberg_weights(z, x, m):
     return c
 
 
+# the stencil at h, h/2 and h/4, extrapolated twice
+_RICHARDSON_LEVELS = 2
+
+
 class CentralFDEngine(DerivativeEngine):
     """Central finite differences with Richardson extrapolation.
 
@@ -208,13 +213,10 @@ class CentralFDEngine(DerivativeEngine):
     difference between the two finest Richardson levels.
     """
 
-    def __init__(self, step=0.01, richardson_levels=2):
+    def __init__(self, step=0.01):
         if step <= 0:
             raise ValueError("step must be positive")
-        if richardson_levels < 1:
-            raise ValueError("need at least one Richardson level")
         self.step = float(step)
-        self.levels = int(richardson_levels)
 
     def _stencil_derivative(self, fn, t, m, h):
         half = m // 2 + 2
@@ -233,7 +235,7 @@ class CentralFDEngine(DerivativeEngine):
         for m in range(1, max_order + 1):
             table = []
             h = self.step
-            for _ in range(self.levels + 1):
+            for _ in range(_RICHARDSON_LEVELS + 1):
                 table.append(self._stencil_derivative(fn, t, m, h))
                 h *= 0.5
             # Richardson on the h^2 expansion of the symmetric stencils
@@ -243,7 +245,7 @@ class CentralFDEngine(DerivativeEngine):
                     table[j] = table[j] + (table[j] - table[j - 1]) / (order_gain - 1.0)
                 order_gain *= 4.0
             values.append(table[-1])
-            bounds.append(abs(table[-1] - table[-2]) if len(table) > 1 else math.inf)
+            bounds.append(abs(table[-1] - table[-2]))
         return values, bounds
 
 
@@ -273,11 +275,6 @@ class LiftResult:
         return float(self.value)
 
 
-def _real(x):
-    x = complex(x)
-    return x.real if x.imag == 0.0 else x
-
-
 def _corollary_sum(profile, rho, k, engine):
     """k steps at rho > 0: (2 pi)^-k sum_l c_(k,l) rho^(l-2k) (D^l profile)(rho)."""
     engine = engine or default_engine(profile)
@@ -289,7 +286,7 @@ def _corollary_sum(profile, rho, k, engine):
         weight = float(coeff) * rho ** (ell - 2 * k) * scale
         total += weight * values[ell]
         err += abs(weight) * bounds[ell]
-    return LiftResult(_real(total), err)
+    return LiftResult(_tidy(total), err)
 
 
 def lift_once(profile, r, engine=None):
@@ -333,10 +330,10 @@ def lift_once_at_zero(profile, engine=None):
             vals = [f(h) for h in (4e-2, 2e-2, 1e-2)]
             first = [(4.0 * b - a) / 3.0 for a, b in zip(vals, vals[1:])]
             val = (16.0 * first[1] - first[0]) / 15.0
-        return LiftResult(_real(-val / _TWO_PI))
+        return LiftResult(_tidy(-val / _TWO_PI))
     even = CallableProfile(lambda t: profile.values(np.abs(t)), profile.is_complex)
     values, bounds = engine.derivatives(even, 0.0, 2)
-    return LiftResult(_real(-values[2] / _TWO_PI), abs(bounds[2]) / _TWO_PI)
+    return LiftResult(_tidy(-values[2] / _TWO_PI), abs(bounds[2]) / _TWO_PI)
 
 
 def lift_prediff(profile, n, r, spec=None):
@@ -356,7 +353,7 @@ def lift_prediff(profile, n, r, spec=None):
         _expr.Product(_expr.Constant(float(n)), e),
         _expr.Product(_expr.S, de)))
     transformed = radial_fourier(AnalyticProfile(eta), n, r, spec)
-    return _real(transformed / (_TWO_PI * r * r))
+    return _tidy(transformed / (_TWO_PI * r * r))
 
 
 def lift_to_dimension(profile, base_dim, target_dim, rho, engine=None):
@@ -377,5 +374,5 @@ def lift_to_dimension(profile, base_dim, target_dim, rho, engine=None):
         raise ValueError("rho must be positive")
     k = step // 2
     if k == 0:
-        return LiftResult(_real(profile.values(np.asarray([rho]))[0]))
+        return LiftResult(_tidy(profile.values(np.asarray([rho]))[0]))
     return _corollary_sum(profile, rho, k, engine)

@@ -8,19 +8,21 @@ halves of all such panels go to the integrand in one call per round, until
 every interval meets its tolerance or its panel budget.  Given two numbers,
 ``integrate_finite`` integrates the one interval between them.
 
-Half-line Bessel-kernel integrals are split at the kernel's zeros
-t_k = z_k / omega, so each segment carries one sign of the oscillation, and
-Wynn's epsilon algorithm accelerates the partial sums.  The splitter takes
-one omega or an array of them.  Every omega keeps its own partial sums,
-epsilon table and exit rules.  The head [0, z_1 / omega] is integrated over
-the windows [0, 1], [1, 3], [3, 7], ... cut at its end, so that a profile
-living near 0 is seen even when omega is tiny.  Every head runs to
-min(end, 1e8) and may stop past that once three windows in a row are
-negligible.  A head with no end (omega = 0, the moment, or z_1 / omega
-overflowed) also stops there at once if it has read only zeros.  The heads
-go first, then the segments, the next segment of every omega per round;
-each round is one ``integrate_finite`` call.  ``integrate_halfline_decaying``
-is the omega = 0 line.
+Half-line integrals of g(t) Jt_nu(omega t), the transform's kernel, are
+split at the kernel's zeros t_k = z_k / omega, so each segment carries one
+sign of the oscillation, and Wynn's epsilon algorithm accelerates the
+partial sums.  The splitter, ``split_halfline_at_zeros``, takes g, the
+order and one omega or an array of them, and applies the kernel itself;
+transforms, moments and Hankel transforms all go through it.  Every
+omega keeps its own partial sums, epsilon table and exit rules.  The head
+[0, z_1 / omega] is integrated over the windows [0, 1], [1, 3], [3, 7], ...
+cut at its end, so that a profile living near 0 is seen even when omega is
+tiny.  Every head runs to min(end, 1e8) and may stop past that once three
+windows in a row are negligible.  A head with no end (omega = 0, the
+moment, or z_1 / omega overflowed) also stops there at once if it has read
+only zeros.  The heads go first, then the segments, the next segment of
+every omega per round; each round is one ``integrate_finite`` call.
+``integrate_halfline_decaying`` is the omega = 0 line of order 0.
 
 The engine's flag is the verdict on the tail, so two rules keep a tail that
 does not decay from reading as converged:
@@ -52,8 +54,8 @@ from .errors import PoisonedEvaluationError
 
 __all__ = [
     "QuadratureSpec", "QuadratureResult",
-    "integrate_finite", "integrate_bessel_halfline",
-    "integrate_halfline_decaying", "split_halfline_at_zeros",
+    "integrate_finite", "integrate_halfline_decaying",
+    "split_halfline_at_zeros",
 ]
 
 
@@ -86,10 +88,6 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
     converged: bool
-
-    @property
-    def real(self):
-        return self.value.real if isinstance(self.value, complex) else self.value
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -141,19 +139,19 @@ def _call_integrand(f, x):
 def _kronrod_panels(f, lo, hi, keys):
     """One Gauss-Kronrod panel on each [lo_i, hi_i], all in one integrand call.
 
-    Without ``keys`` f gets the nodes flat, and a scalar-only f is called
-    node by node; with them f is one of this package's vectorized
-    integrands and gets the nodes as a (panels, 15) array and the keys as a
-    (panels, 1) column.  Returns the Kronrod values and the embedded-rule
-    error estimates as lists, and the nodes and integrand values as
-    (panels, 15) arrays.
+    f gets the nodes flat and, given ``keys`` (one per panel), one key per
+    node.  Without keys a scalar-only f is called node by node; with them f
+    is one of this package's vectorized integrands, called once.  Returns
+    the Kronrod values and the embedded-rule error estimates as lists, and
+    the nodes and integrand values as (panels, 15) arrays.
     """
     # halves first: lo + hi overflows once both ends pass ~9e307
     mid = 0.5 * lo + 0.5 * hi
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XGK
-    y = _call_integrand(f, nodes.ravel()).reshape(nodes.shape) if keys is None \
-        else f(nodes, keys[:, None])
+    x = nodes.ravel()
+    y = (_call_integrand(f, x) if keys is None
+         else f(x, np.repeat(keys, _NODES))).reshape(nodes.shape)
     kron = half * np.add.reduce(_WGK * y, axis=1)
     # the 7 Gauss nodes are the odd-indexed Kronrod nodes
     gauss = half * np.add.reduce(_WG * y[:, 1::2], axis=1)
@@ -250,9 +248,9 @@ def integrate_finite(f, a, b, spec=None, keys=None):
     finite.  With numbers a < b the result is one
     QuadratureResult, and NaN from the integrand raises
     PoisonedEvaluationError.  With 1-d arrays a and b it is a list with one
-    result per interval, None where the integrand gave NaN; f gets the
-    nodes flat, or, given ``keys`` (one number per interval), the nodes as a
-    (panels, 15) array and the keys as a (panels, 1) column.
+    result per interval, None where the integrand gave NaN.  f gets the
+    nodes flat; given ``keys``, one number per interval, f also gets the key
+    of each node's interval as a second flat array.
     """
     spec = spec or DEFAULT_SPEC
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -268,6 +266,8 @@ def integrate_finite(f, a, b, spec=None, keys=None):
         raise ValueError("need 1-d arrays a and b of one length, with a < b")
     if keys is not None:
         keys = np.asarray(keys)
+        if keys.shape != lo.shape:
+            raise ValueError("need one key per interval")
     values, errors, counts, poisoned = _integrate_intervals(
         f, lo, hi, spec, keys)
     return [None if i in poisoned else _result(v, e, c, spec)
@@ -380,14 +380,13 @@ class _HalfLine:
         warnings.warn("integrand failed in the far tail; truncating "
                       f"at t={a:.3g} after negligible contributions",
                       RuntimeWarning, stacklevel=4)
-        return self._converged(self.partial,
-                               self.panel_err + abs(self.last_seg))
+        return self._result(self.partial, self.panel_err + abs(self.last_seg))
 
-    def _converged(self, value, error):
-        """The line's result at a converged exit: converged only if the
-        value and the estimate are finite."""
+    def _result(self, value, error, converged=True):
+        """The line's result at any exit: converged only if the exit says so
+        and the value and the estimate are finite."""
         return QuadratureResult(_tidy(value), error, self.evals,
-                                _finite(value, error))
+                                converged and _finite(value, error))
 
     def add_head(self, a, b, part):
         """Fold in the head window [a, b], which integrated to ``part`` (None
@@ -421,10 +420,9 @@ class _HalfLine:
         # never meets the tolerance
         self.grow_streak = self.grow_streak + 1 if grew else 0
         if self.grow_streak >= 8:
-            return QuadratureResult(_tidy(self.partial),
-                                    self.panel_err + size, self.evals, False)
+            return self._result(self.partial, self.panel_err + size, False)
         if self.head_streak >= 3 or (self.end == math.inf and not self.partial):
-            return self._converged(self.partial, self.panel_err + size)
+            return self._result(self.partial, self.panel_err + size)
         return None
 
     def add(self, k, a, seg):
@@ -452,8 +450,8 @@ class _HalfLine:
         if seg_size <= spec.abs_tol:
             self.small_streak += 1
             if self.small_streak >= 4 and k >= 4:
-                return self._converged(self.partial,
-                                       self.panel_err + 3 * seg_size)
+                return self._result(self.partial,
+                                    self.panel_err + 3 * seg_size)
         else:
             self.small_streak = 0
 
@@ -467,8 +465,8 @@ class _HalfLine:
         if k >= 6 and len(deltas) >= 2 and self.shrink_streak >= 2:
             tol = spec.tolerance(self.accel)
             if deltas[-1] <= tol and deltas[-2] <= tol:
-                return self._converged(self.accel, self.panel_err
-                                       + 4.0 * max(deltas[-1], deltas[-2]))
+                return self._result(self.accel, self.panel_err
+                                    + 4.0 * max(deltas[-1], deltas[-2]))
 
         # divergence watch: a long run of new global maxima means the tail
         # is growing outright (local humps after an integrand zero stay
@@ -476,9 +474,8 @@ class _HalfLine:
         if seg_size > self.max_seg and seg_size > 100.0 * spec.abs_tol:
             self.grow_streak += 1
             if self.grow_streak >= 8 and k >= 12:
-                return QuadratureResult(_tidy(self.accel),
-                                        self.panel_err + seg_size,
-                                        self.evals, False)
+                return self._result(self.accel, self.panel_err + seg_size,
+                                    False)
         else:
             self.grow_streak = 0
         self.max_seg = max(self.max_seg, seg_size)
@@ -488,34 +485,25 @@ class _HalfLine:
     def out_of_budget(self):
         deltas = self.accel_deltas
         err = self.panel_err + (abs(deltas[-1]) if deltas else abs(self.last_seg))
-        return QuadratureResult(_tidy(self.accel), err + abs(self.last_seg),
-                                self.evals, False)
+        return self._result(self.accel, err + abs(self.last_seg), False)
 
 
-def split_halfline_at_zeros(integrand, nu, omega, spec=None):
-    """Integrate ``integrand(t, omega)`` over [0, inf), split at t_k = z_k / omega.
+def split_halfline_at_zeros(g, nu, omega, spec=None):
+    """Integral of g(t) * Jt_nu(omega t) over [0, inf), split at t_k = z_k / omega.
 
     ``z_k`` are the zeros of J_nu, so each segment carries one sign of the
-    oscillation; Wynn's epsilon algorithm accelerates the partial sums.
-    ``omega`` is one number >= 0, giving one QuadratureResult, or a 1-d
-    array of them, giving a list with one result per omega.  The integrand
-    receives the nodes as a (panels, 15) array and, as a (panels, 1) column,
-    the omega each panel belongs to.
+    oscillation.  ``omega`` is one number >= 0, giving one QuadratureResult,
+    or a 1-d array of them, giving a list with one result per omega.
 
-    The head [0, z_1 / omega] is integrated over the windows [0, 1], [1, 3],
-    [3, 7], ... cut at its end, so that a profile living near 0 is seen even
-    when omega is tiny.  Every head runs at least to min(end, 1e8), all of
-    those windows in the first round, so that a profile with a second bump
-    beyond a gap is not cut off.  Past t = 1e8 it stops once three windows
-    in a row are negligible against the nonzero running total, each no
-    larger than the one before; the total is then the result, converged.
-    Past 1e8 a head also ends unconverged after eight windows in a row,
-    each over 0.99 times the one before: a divergent integral's windows do
-    not shrink.  At omega = 0, and where z_1 / omega overflows, the head has
-    no end: past t = 1e8 it also stops at once with a total still exactly 0,
-    converged.
-    Segments or head windows whose integrand overflows are truncated (with
-    a warning) once three consecutive contributions fall below abs_tol.
+    g gets a flat array of nodes and returns one value per node; a g that
+    takes only numbers is called node by node.  The engine applies the
+    kernel itself.  At omega = 0 the kernel is the constant Jt_nu(0): that
+    line integrates g alone, so the head's stop rule and the tolerance apply
+    to the plain moment, and its value and estimate are then scaled by
+    Jt_nu(0).  numpy's floating-point warnings stay inside the engine.  NaN
+    from g raises PoisonedEvaluationError, or, after three contributions
+    below abs_tol, ends the sum there with a RuntimeWarning.  The head and
+    segment rules are those of the module docstring and ``_HalfLine``.
     """
     spec = spec or DEFAULT_SPEC
     order = _as_order(nu)
@@ -526,99 +514,74 @@ def split_halfline_at_zeros(integrand, nu, omega, spec=None):
         raise ValueError("omega must be a number or a 1-d array")
     if not all(0.0 <= w < math.inf for w in omegas.tolist()):
         raise ValueError("omega must be nonnegative and finite")
-
-    chunk = 64
-    zeros = np.array(bessel_zeros(order, chunk))
-    inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                           max_panels=min(spec.max_panels, 200),
-                           max_oscillations=spec.max_oscillations)
-    # the head ends at z_1 / omega: inf at omega = 0 and where it overflows
-    with np.errstate(divide="ignore", over="ignore"):
-        lines = [_HalfLine(spec, end) for end in (zeros[0] / omegas).tolist()]
-    results = [None] * omegas.size
-
-    # head rounds: the windows of every line still in its head go to one
-    # integrand call per round; the first takes every window below 1e8
-    running = list(range(omegas.size))
-    while running:
-        windows = [(i, a, b) for i in running for a, b in lines[i].head_windows()]
-        owner, lo, hi = zip(*windows)
-        parts = integrate_finite(integrand, np.array(lo), np.array(hi), inner,
-                                 omegas[list(owner)])
-        for i, a, b, part in zip(owner, lo, hi, parts):
-            if results[i] is None:  # the rest of a line's windows after its end
-                results[i] = lines[i].add_head(a, b, part)
-        running = [i for i in running
-                   if results[i] is None and lines[i].a < lines[i].end]
-
-    # segment rounds: the next segment of every line still running
-    running = [i for i, done in enumerate(results) if done is None]
-    w = omegas[running]
-    k = 0
-    while k < spec.max_oscillations and running:
-        k += 1
-        if k + 1 > len(zeros):
-            zeros = np.array(bessel_zeros(order, len(zeros) + chunk))
-        a = zeros[k - 1] / w
-        segs = integrate_finite(integrand, a, zeros[k] / w, inner, w)
-        still = []
-        for i, start, seg in zip(running, a.tolist(), segs):
-            done = lines[i].add(k, start, seg)
-            if done is None:
-                still.append(i)
-            else:
-                results[i] = done
-        if len(still) < len(running):
-            running = still
-            w = omegas[running]
-    for i in running:
-        results[i] = lines[i].out_of_budget()
-    return results[0] if scalar else results
-
-
-def integrate_bessel_halfline(g, nu, omega, spec=None):
-    """Integral of g(t) * Jt_nu(omega t) over [0, inf); omega as in
-    ``split_halfline_at_zeros``.
-
-    At omega = 0 the kernel is the constant Jt_nu(0).  Such a line
-    integrates g alone, so the head's stop rule and the tolerance apply to
-    the plain moment, and its value and estimate are then scaled by
-    Jt_nu(0).
-    """
-    order = _as_order(nu)
-    at_zero = np.asarray(omega, dtype=float) == 0.0
+    at_zero = omegas == 0.0
     moments = at_zero.any()
 
     def integrand(t, w):
-        # flat arrays: Bessel evaluation is slower on 2-d ones
-        y = _call_integrand(g, t.ravel())
+        y = _call_integrand(g, t)
         if moments:  # a kernel of 1 on the panels of omega = 0
-            zero = np.broadcast_to(w == 0.0, t.shape).ravel()
+            zero = w == 0.0
             if not zero.all():
-                y = np.where(zero, y, y * bessel_j_tilde(order, (w * t).ravel()))
-            return y.reshape(t.shape)
-        return (y * bessel_j_tilde(order, (w * t).ravel())).reshape(t.shape)
+                y = np.where(zero, y, y * bessel_j_tilde(order, w * t))
+            return y
+        return y * bessel_j_tilde(order, w * t)
 
-    results = split_halfline_at_zeros(integrand, order, omega, spec)
-    for res, zero in zip(results if at_zero.ndim else [results],
-                         at_zero.ravel().tolist()):
+    with np.errstate(all="ignore"):
+        chunk = 64
+        zeros = np.array(bessel_zeros(order, chunk))
+        inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
+                               max_panels=min(spec.max_panels, 200),
+                               max_oscillations=spec.max_oscillations)
+        # the head ends at z_1 / omega: inf at omega = 0 and where it overflows
+        lines = [_HalfLine(spec, end) for end in (zeros[0] / omegas).tolist()]
+        results = [None] * omegas.size
+
+        # head rounds: the windows of every line still in its head go to one
+        # integrand call per round; the first takes every window below 1e8
+        running = list(range(omegas.size))
+        while running:
+            windows = [(i, a, b) for i in running
+                       for a, b in lines[i].head_windows()]
+            owner, lo, hi = zip(*windows)
+            parts = integrate_finite(integrand, np.array(lo), np.array(hi),
+                                     inner, omegas[list(owner)])
+            for i, a, b, part in zip(owner, lo, hi, parts):
+                if results[i] is None:  # a line's windows after its end
+                    results[i] = lines[i].add_head(a, b, part)
+            running = [i for i in running
+                       if results[i] is None and lines[i].a < lines[i].end]
+
+        # segment rounds: the next segment of every line still running
+        running = [i for i, done in enumerate(results) if done is None]
+        w = omegas[running]
+        k = 0
+        while k < spec.max_oscillations and running:
+            k += 1
+            if k + 1 > len(zeros):
+                zeros = np.array(bessel_zeros(order, len(zeros) + chunk))
+            a = zeros[k - 1] / w
+            segs = integrate_finite(integrand, a, zeros[k] / w, inner, w)
+            still = []
+            for i, start, seg in zip(running, a.tolist(), segs):
+                done = lines[i].add(k, start, seg)
+                if done is None:
+                    still.append(i)
+                else:
+                    results[i] = done
+            if len(still) < len(running):
+                running = still
+                w = omegas[running]
+        for i in running:
+            results[i] = lines[i].out_of_budget()
+
+    for res, zero in zip(results, at_zero.tolist()):
         if zero:
             res.value *= jtilde_at_zero(order)
             res.error_estimate *= jtilde_at_zero(order)
-    return results
+    return results[0] if scalar else results
 
 
 def integrate_halfline_decaying(f, spec=None):
     """Integral over [0, inf) of a non-oscillatory decaying integrand: the
-    omega = 0 line of the half-line engine, whose kernel Jt_0(0) is 1.
-
-    The windows [0, 1], [1, 3], [3, 7], ... are all added up to t = 1e8,
-    so that a profile living away from 0 is reached, and past that until
-    three consecutive ones are negligible against the nonzero running
-    total, each no larger than the one before.  An integrand that reads 0
-    up to t = 1e8 ends there with 0, converged; one whose windows past 1e8
-    barely shrink ends unconverged after eight of them.  NaN from the
-    integrand raises PoisonedEvaluationError, or, after three windows below
-    abs_tol, ends the sum there with a warning.
-    """
-    return integrate_bessel_halfline(f, 0, 0.0, spec)
+    omega = 0 line of the half-line engine, whose kernel Jt_0(0) is 1."""
+    return split_halfline_at_zeros(f, 0, 0.0, spec)

@@ -104,7 +104,7 @@ def test_criterion_05_coefficients():
 @pytest.fixture(scope="module")
 def recursion_battery():
     """Shared by criteria 6 and 7: lift of a computed transform vs direct."""
-    engine = CentralFDEngine(step=0.01, richardson_levels=2)
+    engine = CentralFDEngine(step=0.01)
     out = {}
     for name, prof in (("gaussian", GAUSS), ("exponential", EXP)):
         for n in (1, 2, 3):

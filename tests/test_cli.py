@@ -265,6 +265,28 @@ def test_out_file(tmp_path, capsys):
     assert abs(rows[0]["value_re"] - math.exp(-math.pi)) < 1e-8
 
 
+def test_out_file_in_a_missing_directory_exits_hard(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, "transform", "--profile", "exp(-pi*s^2)",
+                             "--dim", "1", "--grid", "1:1:1",
+                             "--out", str(target))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(target) in err
+
+
+def test_deeply_nested_profiles_exit_hard(capsys):
+    # 600 nested parentheses, and a 1,500-term sum: both recurse past
+    # Python's limit, in the parser or in evaluation
+    for profile in ("(" * 600 + "s" + ")" * 600, "+".join(["exp(-s)"] * 1500)):
+        code, out, err = run_cli(capsys, "transform", "--profile", profile,
+                                 "--dim", "3", "--grid", "0:1:3")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == "error: the profile is nested too deeply\n"
+
+
 def test_deterministic_output(capsys):
     args = ("transform", "--profile", "sech(3.14159265358979*s)", "--dim", "3",
             "--grid", "0.5:2:4")

@@ -197,7 +197,7 @@ def test_default_engine_selection():
 
 def test_fd_engine_against_analytic():
     numeric = CallableProfile(lambda t: 1.0 / np.cosh(math.pi * t))
-    res = lift_once(numeric, 1.0, CentralFDEngine(step=0.01, richardson_levels=2))
+    res = lift_once(numeric, 1.0, CentralFDEngine(step=0.01))
     assert abs(res.value - sech_lift_closed(1.0)) < 1e-7
     assert res.error_estimate > 0
 
@@ -222,7 +222,7 @@ def test_sampled_profile_lift_with_error_bound():
 def test_higher_order_fd_derivatives():
     prof = CallableProfile(lambda t: np.exp(-math.pi * t ** 2))
     res = lift_to_dimension(prof, 1, 5, 1.0,
-                            CentralFDEngine(step=0.02, richardson_levels=2))
+                            CentralFDEngine(step=0.02))
     assert abs(res.value - math.exp(-math.pi)) < 1e-5
     with pytest.raises(EngineError):
         lift_to_dimension(prof, 1, 13, 1.0, CentralFDEngine())
@@ -232,7 +232,7 @@ def test_recursion_consistency_battery():
     """lift_once of a computed transform equals the direct higher transform."""
     profiles = [("exp(-pi*s^2)", GAUSS), ("exp(-s)", profile_from_text("exp(-s)")),
                 ("exp(-s^2)*(2-s^2)", profile_from_text("exp(-s^2)*(2-s^2)"))]
-    engine = CentralFDEngine(step=0.01, richardson_levels=2)
+    engine = CentralFDEngine(step=0.01)
     for name, prof in profiles:
         for n in (1, 2, 3):
             transform_profile = CallableProfile(

@@ -11,7 +11,7 @@ from scipy.integrate import trapezoid
 from radialift.bessel import Order
 from radialift.errors import PoisonedEvaluationError, UnsupportedOrderError
 from radialift.quadrature import (QuadratureResult, QuadratureSpec,
-                                  integrate_bessel_halfline, integrate_finite,
+                                  integrate_finite,
                                   integrate_halfline_decaying,
                                   split_halfline_at_zeros)
 from radialift.quadrature import _WG, _WGK, _kronrod_panels
@@ -59,12 +59,12 @@ def test_infinite_results_are_not_converged():
             assert res.evaluations == evals
             assert not res.converged
     # an infinite head window: the head's stop rule (omega = 0) and the
-    # negligible-terms exit (omega = 1e-3 and 1) see an inf total
+    # negligible-terms exit (omega = 1e-3 and 1) see an inf total; the
+    # engine keeps numpy's warnings inside
     def blowup(t):
         return np.where(t < 1.0, np.inf, np.exp(-t))
-    with np.errstate(all="ignore"):
-        results = [integrate_halfline_decaying(blowup)] + \
-            integrate_bessel_halfline(blowup, 0.5, [0.0, 1e-3, 1.0])
+    results = [integrate_halfline_decaying(blowup)] + \
+        split_halfline_at_zeros(blowup, 0.5, [0.0, 1e-3, 1.0])
     for res in results:
         assert res.value == math.inf
         assert not res.converged
@@ -101,7 +101,8 @@ def test_finite_arrays_match_one_interval_at_a_time():
 
 def test_finite_arrays_keys_and_nan():
     def f(s, k):
-        assert s.shape[1] == 15 and k.shape == (s.shape[0], 1)
+        # flat nodes, a multiple of 15, and one key per node
+        assert s.ndim == 1 and s.size % 15 == 0 and k.shape == s.shape
         return np.where(k > 1.5, np.nan, k * s)
 
     res = integrate_finite(f, np.zeros(3), np.ones(3), keys=[1.0, 2.0, 0.5])
@@ -113,9 +114,18 @@ def test_finite_arrays_keys_and_nan():
             integrate_finite(np.sin, np.array(a), np.array(b))
 
 
+def test_finite_keys_need_one_per_interval():
+    # one key for three intervals was broadcast to all of them, and raised
+    # IndexError once an interval refined
+    for keys in ([2.0], [1.0, 2.0], [[1.0, 2.0, 3.0]], 2.0):
+        with pytest.raises(ValueError):
+            integrate_finite(lambda s, k: k * s, np.zeros(3), np.ones(3),
+                             keys=keys)
+
+
 def test_halfline_laplace_cosine():
     # int_0^inf e^-t sqrt(2/pi) cos(t) dt = sqrt(2/pi) / 2
-    res = integrate_bessel_halfline(lambda t: np.exp(-t), Order(-1), 1.0)
+    res = split_halfline_at_zeros(lambda t: np.exp(-t), Order(-1), 1.0)
     assert res.converged
     assert abs(res.value - SQ2PI / 2) < 1e-10
 
@@ -125,7 +135,7 @@ def test_halfline_brute_force_oracle():
     # built on scipy's J_0 (independent of the package's Bessel code)
     ts = np.linspace(0.0, 30.0, 1_000_001)
     oracle = trapezoid(ts * np.exp(-ts ** 2) * sp.j0(ts), ts)
-    res = integrate_bessel_halfline(lambda t: t * np.exp(-t * t), Order(0), 1.0)
+    res = split_halfline_at_zeros(lambda t: t * np.exp(-t * t), Order(0), 1.0)
     assert res.converged
     assert abs(res.value - oracle) < 1e-9
 
@@ -133,9 +143,9 @@ def test_halfline_brute_force_oracle():
 def test_halfline_result_stable_under_more_oscillations():
     spec = QuadratureSpec()
     g = lambda t: 1.0 / (1.0 + t * t)
-    base = integrate_bessel_halfline(g, Order(1), 2.0, spec)
+    base = split_halfline_at_zeros(g, Order(1), 2.0, spec)
     assert base.converged
-    doubled = integrate_bessel_halfline(
+    doubled = split_halfline_at_zeros(
         g, Order(1), 2.0,
         QuadratureSpec(max_oscillations=2 * spec.max_oscillations))
     assert abs(base.value - doubled.value) <= 2 * spec.rel_tol * abs(base.value) + 1e-14
@@ -154,7 +164,7 @@ def test_halfline_overflow_truncates_dead_tail():
         return np.where(t > cliff, np.nan, out)
 
     with pytest.warns(RuntimeWarning):
-        res = integrate_bessel_halfline(g, Order(0), 1.0)
+        res = split_halfline_at_zeros(g, Order(0), 1.0)
     assert res.converged
 
 
@@ -163,13 +173,13 @@ def test_halfline_early_failure_poisons():
         t = np.asarray(t, dtype=float)
         return np.where(t > 2.0, np.nan, np.ones_like(t))
     with pytest.raises(PoisonedEvaluationError):
-        integrate_bessel_halfline(g, Order(0), 1.0)
+        split_halfline_at_zeros(g, Order(0), 1.0)
 
 
 def test_halfline_divergence_flagged():
-    res = integrate_bessel_halfline(lambda t: np.asarray(t, dtype=float) ** 2,
-                                    Order(-1), 1.0,
-                                    QuadratureSpec(max_oscillations=120))
+    res = split_halfline_at_zeros(lambda t: np.asarray(t, dtype=float) ** 2,
+                                  Order(-1), 1.0,
+                                  QuadratureSpec(max_oscillations=120))
     assert not res.converged
 
 
@@ -177,10 +187,10 @@ def test_halfline_omega_array_matches_one_omega_at_a_time():
     g = lambda t: 1.0 / (1.0 + t * t) ** 2
     # omega = 0 is the moment, a head that never ends
     omegas = np.array([0.05, 0.3, 2.0, 0.0, 2.0, 7.5])
-    batch = integrate_bessel_halfline(g, Order(1), omegas)
+    batch = split_halfline_at_zeros(g, Order(1), omegas)
     assert isinstance(batch, list) and len(batch) == omegas.size
     for omega, res in zip(omegas, batch):
-        single = integrate_bessel_halfline(g, Order(1), float(omega))
+        single = split_halfline_at_zeros(g, Order(1), float(omega))
         assert isinstance(single, QuadratureResult)
         assert res.converged == single.converged
         assert res.evaluations == single.evaluations
@@ -190,26 +200,40 @@ def test_halfline_omega_array_matches_one_omega_at_a_time():
 def test_halfline_rounds_share_integrand_calls():
     calls = []
 
-    def integrand(t, w):
+    def g(t):
         calls.append(t.shape)
-        return np.exp(-t) * np.cos(w * t)
+        return np.exp(-t)
 
     omegas = np.linspace(0.5, 5.0, 10)
-    split_halfline_at_zeros(integrand, Order(-1), omegas)
+    split_halfline_at_zeros(g, Order(-1), omegas)
     batched = len(calls)
-    assert all(shape[1] == 15 for shape in calls)
-    assert max(shape[0] for shape in calls) >= omegas.size
+    # g gets flat nodes, 15 per panel, and one call holds a panel per omega
+    assert all(len(shape) == 1 and shape[0] % 15 == 0 for shape in calls)
+    assert max(shape[0] for shape in calls) >= 15 * omegas.size
     calls.clear()
     for omega in omegas:
-        split_halfline_at_zeros(integrand, Order(-1), float(omega))
+        split_halfline_at_zeros(g, Order(-1), float(omega))
     assert batched * 5 <= len(calls)
+
+
+def test_halfline_keeps_numpy_warnings_inside():
+    # cosh overflows in the head's far windows, and 1 / inf is 0 there:
+    # int_0^inf sech(t) sqrt(2/pi) cos(w t) dt = sqrt(2/pi) (pi/2) sech(pi w/2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in (0.0, 1e-5):
+            res = split_halfline_at_zeros(lambda t: 1.0 / np.cosh(t),
+                                          Order(-1), w)
+            exact = SQ2PI * math.pi / 2 / math.cosh(math.pi * w / 2)
+            assert res.converged
+            assert abs(res.value - exact) < 1e-12, w
 
 
 def test_halfline_long_head_starts_from_windows():
     # the head [0, (pi/2) / omega] is 1.6e5 long; one panel over it would
     # miss e^-t entirely: int e^-t sqrt(2/pi) cos(omega t) = sqrt(2/pi)/(1+omega^2)
     for omega in (1e-5, 1e-3, 0.5):
-        res = integrate_bessel_halfline(lambda t: np.exp(-t), Order(-1), omega)
+        res = split_halfline_at_zeros(lambda t: np.exp(-t), Order(-1), omega)
         assert res.converged
         assert abs(res.value - SQ2PI / (1.0 + omega * omega)) < 1e-12, omega
 
@@ -217,7 +241,7 @@ def test_halfline_long_head_starts_from_windows():
 def test_halfline_omega_validation():
     for bad in (-1.0, math.inf, math.nan, [1.0, -1.0], [[1.0]]):
         with pytest.raises(ValueError):
-            integrate_bessel_halfline(lambda t: np.exp(-t), Order(0), bad)
+            split_halfline_at_zeros(lambda t: np.exp(-t), Order(0), bad)
 
 
 def test_halfline_nan_in_one_omega_poisons_the_batch():
@@ -225,7 +249,7 @@ def test_halfline_nan_in_one_omega_poisons_the_batch():
         t = np.asarray(t, dtype=float)
         return np.where(t > 2.0, np.nan, np.exp(-t))
     with pytest.raises(PoisonedEvaluationError):
-        integrate_bessel_halfline(g, Order(0), np.array([5.0, 1.0]))
+        split_halfline_at_zeros(g, Order(0), np.array([5.0, 1.0]))
 
 
 def test_halfline_head_nan_after_negligible_windows_truncates():
@@ -237,25 +261,25 @@ def test_halfline_head_nan_after_negligible_windows_truncates():
 
     omegas = np.array([1e-5, 0.5])
     with pytest.warns(RuntimeWarning, match="far tail"):
-        batch = integrate_bessel_halfline(g, Order(-1), omegas)
+        batch = split_halfline_at_zeros(g, Order(-1), omegas)
     for omega, res in zip(omegas, batch):
         assert res.converged
         assert abs(res.value - SQ2PI / (1.0 + omega * omega)) < 1e-12, omega
     # NaN in the first segment after the head: its negligible windows count
     at_head_end = lambda t: np.where(np.asarray(t) > 1571.0, np.nan, np.exp(-t))
     with pytest.warns(RuntimeWarning, match="far tail"):
-        res = integrate_bessel_halfline(at_head_end, Order(-1), 1e-3)
+        res = split_halfline_at_zeros(at_head_end, Order(-1), 1e-3)
     assert res.converged and abs(res.value - SQ2PI / (1.0 + 1e-6)) < 1e-12
     # a profile that is 0 never stops a head, inside it or at its end
     for omega, cut in ((1e-5, 1000.0), (1e-3, 1571.0)):
         dead = lambda t, cut=cut: np.where(np.asarray(t) > cut, np.nan, 0.0 * t)
         with pytest.warns(RuntimeWarning, match="far tail"):
-            res = integrate_bessel_halfline(dead, Order(-1), omega)
+            res = split_halfline_at_zeros(dead, Order(-1), omega)
         assert res.converged and res.value == 0.0, omega
     # NaN before three negligible windows still poisons
     early = lambda t: np.where(np.asarray(t) > 2.0, np.nan, np.exp(-t))
     with pytest.raises(PoisonedEvaluationError):
-        integrate_bessel_halfline(early, Order(-1), 1e-5)
+        split_halfline_at_zeros(early, Order(-1), 1e-5)
 
 
 def test_kronrod_panels_match_a_per_panel_loop():
@@ -277,9 +301,7 @@ def test_kronrod_panels_match_a_per_panel_loop():
 
 def test_halfline_order_is_not_rounded():
     with pytest.raises(UnsupportedOrderError):
-        integrate_bessel_halfline(lambda t: np.exp(-t), 0.3, 1.0)
-    with pytest.raises(UnsupportedOrderError):
-        split_halfline_at_zeros(lambda t, w: np.exp(-t), 0.3, 1.0)
+        split_halfline_at_zeros(lambda t: np.exp(-t), 0.3, 1.0)
 
 
 def test_decaying_halfline():
@@ -335,7 +357,7 @@ def test_error_estimates_are_honest():
         hits += est >= true_err
         assert est >= true_err / 10.0, (exact, true_err, est)
     for g, twice_nu, omega, exact in _HALF_CASES:
-        res = integrate_bessel_halfline(g, Order(twice_nu), omega)
+        res = split_halfline_at_zeros(g, Order(twice_nu), omega)
         assert res.converged
         true_err = abs(res.value - exact)
         est = max(res.error_estimate, 1e-16 * max(1.0, abs(exact)))
@@ -351,5 +373,5 @@ def test_battery_values_are_accurate():
         res = integrate_finite(f, a, b)
         assert abs(res.value - exact) < 1e-7, exact
     for g, twice_nu, omega, exact in _HALF_CASES:
-        res = integrate_bessel_halfline(g, Order(twice_nu), omega)
+        res = split_halfline_at_zeros(g, Order(twice_nu), omega)
         assert abs(res.value - exact) < 1e-8, exact

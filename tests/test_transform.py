@@ -302,6 +302,12 @@ def test_hankel_order_is_not_rounded():
         exact = float(mpmath.quad(lambda t: mpmath.exp(-t) * mpmath.besselj(nu, t)
                                   * t, [0, mpmath.inf]))
         assert abs(hankel(prof, nu, 1.0) - exact) < 1e-9, nu
+    # higher orders, relative to the closed form of int e^-t J_nu(t) t dt
+    # (mpmath's quad is no oracle here: it misses nu = 60 by a factor of 3)
+    for nu in (2.5, 10, 30):
+        exact = ((math.sqrt(2.0) - 1.0) ** nu * (nu / math.sqrt(2.0) + 0.5)
+                 / math.sqrt(2.0))
+        assert abs(hankel(prof, nu, 1.0) - exact) <= 1e-12 * exact, nu
 
 
 def test_hankel_zero_profile():
