@@ -301,10 +301,11 @@ def radial_fourier(f, n, r, spec=None):
 def hankel_result(f, nu, r, spec=None):
     """Classical Hankel transform integral_0^inf f(t) J_nu(r t) t dt.
 
-    Since J_nu(r t) t = Jt_nu(r t) r^nu t^(nu+1), it is the half-line
-    engine's integral of g(t) = f(t) r^nu t^(nu+1) against the transform's
-    kernel Jt_nu(r t).  The factor r^nu sits inside g, so the tolerance
-    applies to the Hankel value itself.
+    Since J_nu(r t) t = Jt_nu(r t) (r t)^nu t, it is the half-line engine's
+    integral of g(t) = f(t) t (r t)^nu against the transform's kernel
+    Jt_nu(r t).  The power is taken of r t, never of r or t alone, so g
+    overflows only where J_nu computed as Jt_nu(x) x^nu would, and the
+    tolerance applies to the Hankel value itself.
     """
     profile = _as_profile(f)
     order = _as_order(nu)
@@ -314,12 +315,10 @@ def hankel_result(f, nu, r, spec=None):
     if r <= 0:
         raise ValueError("r must be positive")
 
-    scale = r ** order.nu
-
     def g(t):
-        # 0 where the profile is: t^(nu+1) may overflow there, and inf * 0 is NaN
+        # 0 where the profile is: (r t)^nu may overflow there, and inf * 0 is NaN
         v = profile.values(t)
-        return np.where(v == 0, 0.0, v * scale * t ** (order.nu + 1))
+        return np.where(v == 0, 0.0, v * t * (r * t) ** order.nu)
 
     quad = split_halfline_at_zeros(g, order, r, spec)
     return _finalize(profile, quad, "direct")

@@ -310,6 +310,28 @@ def test_hankel_order_is_not_rounded():
         assert abs(hankel(prof, nu, 1.0) - exact) <= 1e-12 * exact, nu
 
 
+def _exp_hankel(a, nu, r):
+    # int_0^inf e^(-a t) J_nu(r t) t dt = F(a/r) / r^2, with
+    # F(p) = (sqrt(1+p^2) - p)^nu (nu sqrt(1+p^2) + p) / (1+p^2)^(3/2)
+    p = a / r
+    q = math.sqrt(1.0 + p * p)
+    return (q - p) ** nu * (nu * q + p) / (1.0 + p * p) ** 1.5 / r ** 2
+
+
+def test_hankel_high_order_far_from_r_equal_one():
+    # t^61 overflows past t ~ 1.1e5 and r^60 underflows below r ~ 4e-6;
+    # (r t)^60 stays in range wherever J_60(r t) does
+    for a, r in ((1e-5, 1e-3), (1e-8, 1e-6)):
+        exact = _exp_hankel(a, 60, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = hankel(f"exp(-{a:g}*s)", 60, r)
+        assert abs(value - exact) <= 1e-12 * exact, (a, r, value, exact)
+    # r^60 overflows a Python float at r = 1e6; the value is about 6e-11
+    value = hankel("exp(-s)", 60, 1e6)
+    assert abs(value - _exp_hankel(1.0, 60, 1e6)) <= 1e-14
+
+
 def test_hankel_zero_profile():
     assert hankel(profile_from_text("0"), 0.5, 1.3) == 0.0
 
