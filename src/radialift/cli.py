@@ -1,5 +1,5 @@
 """Command-line front end: transforms, lifts, kernels, coefficient tables,
-and the verification battery.
+and ``verify``, which runs the rows of the battery in ``checks.py``.
 
 Results go to stdout as CSV (default) or JSON, diagnostics to stderr.
 Exit codes: 0 full success, 1 hard error, 2 partial convergence.
@@ -11,13 +11,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import bessel, kernels, lift as _lift, transform as _transform
+from . import checks, kernels, lift as _lift, transform as _transform
 from .errors import (ConvergenceError, EngineError, PoisonedEvaluationError,
                      ZeroFindingError)
 from .quadrature import QuadratureSpec
@@ -154,127 +153,13 @@ def cmd_coeffs(args):
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification battery
-
-def _check(name, ok, detail, stream):
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=stream)
-    return bool(ok)
-
-
-def _suite_bessel(seed, stream):
-    rng = np.random.default_rng(seed)
-    ok = True
-    worst = 0.0
-    for twice_nu in (-1, 0, 1, 2, 3, 4):
-        order = bessel.Order(twice_nu)
-        for x in rng.uniform(0.5, 50.0, 12):
-            h = 1e-5 * max(1.0, x)
-            fd = (bessel.bessel_j_tilde(order, x + h)
-                  - bessel.bessel_j_tilde(order, x - h)) / (2 * h)
-            rhs = -x * bessel.bessel_j_tilde(bessel.Order(twice_nu + 2), x)
-            worst = max(worst, abs(fd - rhs) / max(abs(rhs), 1e-3))
-    ok &= _check("bessel.derivative-identity", worst < 1e-6,
-                 f"max rel dev {worst:.2e}", stream)
-    cmax = 0.0
-    s = np.linspace(0.0, 1e3, 4001)
-    for n in range(1, 7):
-        jt = bessel.bessel_j_tilde(bessel.Order(n), s)
-        cmax = max(cmax, float(np.max(np.abs(jt) * (1.0 + s) ** (n / 2 + 0.5))))
-    ok &= _check("bessel.decay-bound", cmax <= 10.0, f"c = {cmax:.3f}", stream)
-    res = max(abs(bessel.bessel_j(bessel.Order(0), z))
-              for z in bessel.bessel_zeros(bessel.Order(0), 20))
-    ok &= _check("bessel.zero-residuals", res <= 1e-12, f"max {res:.2e}", stream)
-    return ok
-
-
-def _suite_recursion(seed, stream):
-    ok = True
-    for text, n in (("exp(-pi*s^2)", 1), ("exp(-s)", 1), ("exp(-pi*s^2)", 2)):
-        profile = _transform.profile_from_text(text)
-        worst = 0.0
-        for r in (0.5, 1.0):
-            inner = _transform.CallableProfile(
-                lambda rho, p=profile, nn=n: _transform.radial_fourier(p, nn, rho))
-            lifted = _lift.lift_once(inner, r, _lift.CentralFDEngine(0.01)).value
-            direct = _transform.radial_fourier(profile, n + 2, r)
-            worst = max(worst, abs(lifted - direct))
-        ok &= _check(f"recursion.{text}@n={n}", worst < 1e-6,
-                     f"max dev {worst:.2e}", stream)
-    return ok
-
-
-def _suite_coeffs(seed, stream):
-    ok = True
-    agree = all(_lift.corollary_coefficients(k).entries
-                == _lift.iterate_operator_symbolic(k).entries
-                for k in range(1, 11))
-    ok &= _check("coeffs.oracle-equality", agree, "k = 1..10 exact", stream)
-    spots = (str(_lift.corollary_coefficients(1)) == "-1"
-             and str(_lift.corollary_coefficients(2)) == "-1, 1"
-             and str(_lift.corollary_coefficients(3)) == "-3, 3, -1")
-    ok &= _check("coeffs.spot-values", spots, "k = 1, 2, 3", stream)
-    return ok
-
-
-def _suite_kernels(seed, stream):
-    rng = np.random.default_rng(seed)
-    ok = True
-    zs = (-1.0 + 0j, -2.0 + 1j, -0.5 - 3j)
-    worst = 0.0
-    for _ in range(20):
-        z = zs[rng.integers(0, len(zs))]
-        r = float(rng.uniform(0.1, 5.0))
-        lifted3 = _lift.lift_once_symbolic(kernels.resolvent_profile(1, z))
-        worst = max(worst, abs(lifted3.evaluate(r)
-                               - kernels.resolvent_kernel(3, z, r)))
-        lifted5 = _lift.lift_once_symbolic(lifted3)
-        worst = max(worst, abs(lifted5.evaluate(r)
-                               - kernels.resolvent_kernel(5, z, r)))
-    ok &= _check("kernels.resolvent-ladder", worst < 1e-12,
-                 f"max dev {worst:.2e}", stream)
-    worst = 0.0
-    for _ in range(20):
-        energy = float(rng.uniform(0.3, 6.0))
-        r = float(rng.uniform(0.1, 5.0))
-        lifted = _lift.lift_once_symbolic(kernels.projection_profile(1, energy))
-        worst = max(worst, abs(lifted.evaluate(r).real
-                               - kernels.projection_kernel(3, energy, r)))
-    ok &= _check("kernels.projection-ladder", worst < 1e-12,
-                 f"max dev {worst:.2e}", stream)
-    return ok
-
-
-def _suite_transform(seed, stream):
-    ok = True
-    worst = 0.0
-    gauss = _transform.profile_from_text("exp(-pi*s^2)")
-    for n in (1, 2, 3):
-        for r in (0.5, 1.0):
-            worst = max(worst, abs(_transform.radial_fourier(gauss, n, r)
-                                   - math.exp(-math.pi * r * r)))
-    ok &= _check("transform.gaussian-fixed-point", worst < 1e-8,
-                 f"max dev {worst:.2e}", stream)
-    lhs, rhs = _transform.hankel_fourier_relation(gauss, 2, 1.0)
-    ok &= _check("transform.hankel-relation", abs(lhs - rhs) < 1e-9,
-                 f"dev {abs(lhs - rhs):.2e}", stream)
-    return ok
-
-
-_SUITES = {
-    "bessel": _suite_bessel,
-    "recursion": _suite_recursion,
-    "coeffs": _suite_coeffs,
-    "kernels": _suite_kernels,
-    "transform": _suite_transform,
-}
-
-
 def cmd_verify(args):
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
     ok = True
-    for name in names:
-        ok &= _SUITES[name](args.seed, sys.stdout)
+    for check in checks.CHECKS:
+        if args.suite in ("all", check.suite):
+            passed, line = check.run()
+            print(line)
+            ok &= passed
     print("verification " + ("passed" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_ERROR
 
@@ -328,9 +213,7 @@ def build_parser():
     p.set_defaults(fn=cmd_coeffs)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=tuple(_SUITES) + ("all",))
-    p.add_argument("--seed", type=int, default=20130419,
-                   help="seed for the randomized checks (fixed for determinism)")
+    p.add_argument("suite", choices=checks.SUITES + ("all",))
     p.set_defaults(fn=cmd_verify)
     return parser
 

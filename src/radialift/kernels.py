@@ -243,7 +243,7 @@ def even_to_squared(f, k, t, spec=None):
 # ---------------------------------------------------------------------------
 # tagged kernel descriptions (CLI-facing)
 
-_FAMILIES = ("sech", "gaussian", "resolvent", "projection", "heat", "wave")
+_FAMILIES = ("sech", "gaussian", "resolvent", "projection", "heat")
 
 
 @dataclass(frozen=True)
@@ -269,8 +269,6 @@ class KernelSpec:
             raise ValueError("projection needs E > 0")
         if self.family == "heat" and (self.t is None or self.t <= 0):
             raise ValueError("heat needs t > 0")
-        if self.family == "wave" and self.t is None:
-            raise ValueError("wave needs t")
 
 
 def kernel_profile(spec):
@@ -283,10 +281,8 @@ def kernel_profile(spec):
         return resolvent_profile(spec.n, spec.z)
     if spec.family == "projection":
         return projection_profile(spec.n, spec.energy)
-    if spec.family == "heat":
-        amp = (4.0 * math.pi * spec.t) ** (-spec.n / 2.0)
-        return Product(Constant(amp),
-                       Apply("exp", Negate(Quotient(IntegerPower(S, 2),
-                                                    Constant(4.0 * spec.t)))))
-    raise ValueError(f"{spec.family} has no pointwise kernel profile; "
-                     "use dalembert (n=1) or kirchhoff (n=3)")
+    # heat, the last family
+    amp = (4.0 * math.pi * spec.t) ** (-spec.n / 2.0)
+    return Product(Constant(amp),
+                   Apply("exp", Negate(Quotient(IntegerPower(S, 2),
+                                                Constant(4.0 * spec.t)))))

@@ -249,20 +249,18 @@ def integrate_finite(f, a, b, spec=None, keys=None):
     QuadratureResult, and NaN from the integrand raises
     PoisonedEvaluationError.  With 1-d arrays a and b it is a list with one
     result per interval, None where the integrand gave NaN.  f gets the
-    nodes flat; given ``keys``, one number per interval, f also gets the key
-    of each node's interval as a second flat array.
+    nodes flat; given ``keys``, one number per interval (a list of one for
+    numbers a and b), f also gets the key of each node's interval as a
+    second flat array.
     """
     spec = spec or DEFAULT_SPEC
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if lo.ndim == 0 and hi.ndim == 0:
+    single = lo.ndim == 0 and hi.ndim == 0
+    if single:
         if not lo < hi:
             raise ValueError(f"need a < b, got [{a}, {b}]")
-        values, errors, counts, poisoned = _integrate_intervals(
-            f, lo[None], hi[None], spec)
-        if poisoned:
-            raise PoisonedEvaluationError(poisoned[0])
-        return _result(values[0], errors[0], counts[0], spec)
-    if lo.ndim != 1 or lo.shape != hi.shape or not (lo < hi).all():
+        lo, hi = lo[None], hi[None]
+    elif lo.ndim != 1 or lo.shape != hi.shape or not (lo < hi).all():
         raise ValueError("need 1-d arrays a and b of one length, with a < b")
     if keys is not None:
         keys = np.asarray(keys)
@@ -270,6 +268,10 @@ def integrate_finite(f, a, b, spec=None, keys=None):
             raise ValueError("need one key per interval")
     values, errors, counts, poisoned = _integrate_intervals(
         f, lo, hi, spec, keys)
+    if single:
+        if poisoned:
+            raise PoisonedEvaluationError(poisoned[0])
+        return _result(values[0], errors[0], counts[0], spec)
     return [None if i in poisoned else _result(v, e, c, spec)
             for i, (v, e, c) in enumerate(zip(values, errors, counts))]
 

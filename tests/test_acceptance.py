@@ -1,7 +1,10 @@
 """Acceptance battery: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report.  Every tolerance is pinned here; nothing is deferred to calibration.
+report.  ``test_check`` runs every row of ``radialift.checks.CHECKS``, the
+table that ``radialift verify`` runs too; those rows pin their own bounds
+there.  Every other tolerance is pinned here; nothing is deferred to
+calibration.
 """
 
 import math
@@ -10,21 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from radialift.bessel import Order, bessel_j_tilde
+from radialift.checks import CHECKS, recursion_battery
 from radialift.cli import main as cli_main
-from radialift.kernels import (even_to_squared, kirchhoff, projection_kernel,
-                               projection_profile, resolvent_kernel,
-                               resolvent_profile)
-from radialift.lift import (CentralFDEngine, corollary_coefficients,
-                            iterate_operator_symbolic, lift_once,
-                            lift_once_symbolic, lift_prediff)
+from radialift.kernels import even_to_squared, kirchhoff
+from radialift.lift import lift_once, lift_prediff
 from radialift.quadrature import integrate_halfline_decaying
-from radialift.transform import (CallableProfile, profile_from_text,
-                                 radial_fourier, sphere_surface)
+from radialift.transform import profile_from_text, radial_fourier, sphere_surface
 
 SECH = profile_from_text("sech(pi*s)")
 GAUSS = profile_from_text("exp(-pi*s^2)")
-EXP = profile_from_text("exp(-s)")
 
 
 def report(number, label, worst, tol, extra=""):
@@ -64,107 +61,20 @@ def test_criterion_02_sech_direct_transform():
            f", {elapsed:.2f}s")
 
 
-def test_criterion_03_resolvent_ladder():
-    rng = np.random.default_rng(33)
-    zs = (-1.0 + 0j, -2.0 + 1j, -0.5 - 3j)
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.id)
+def test_check(check):
+    passed, line = check.run()
+    print(line)
+    assert passed, line
+
+
+def test_criterion_07_prediff_agreement():
     worst = 0.0
-    for _ in range(20):
-        z = zs[rng.integers(0, len(zs))]
-        r = float(rng.uniform(0.1, 5.0))
-        lifted3 = lift_once_symbolic(resolvent_profile(1, z))
-        worst = max(worst, abs(lifted3.evaluate(r) - resolvent_kernel(3, z, r)))
-        lifted5 = lift_once_symbolic(lifted3)
-        worst = max(worst, abs(lifted5.evaluate(r) - resolvent_kernel(5, z, r)))
-    report(3, "symbolic resolvent lifts reproduce displays", worst, 1e-12)
-
-
-def test_criterion_04_projection_ladder():
-    rng = np.random.default_rng(44)
-    worst = 0.0
-    for _ in range(20):
-        energy = float(rng.uniform(0.3, 6.0))
-        r = float(rng.uniform(0.1, 5.0))
-        lifted = lift_once_symbolic(projection_profile(1, energy))
-        worst = max(worst, abs(lifted.evaluate(r).real
-                               - projection_kernel(3, energy, r)))
-    report(4, "projection lift reproduces the 3-d display", worst, 1e-12)
-
-
-def test_criterion_05_coefficients():
-    exact = all(corollary_coefficients(k).entries
-                == iterate_operator_symbolic(k).entries for k in range(1, 11))
-    spots = (str(corollary_coefficients(1)) == "-1"
-             and str(corollary_coefficients(2)) == "-1, 1"
-             and str(corollary_coefficients(3)) == "-3, 3, -1")
-    worst = 0.0 if (exact and spots) else 1.0
-    report(5, "coefficient tables exact for k=1..10 plus spot values",
-           worst, 0.5)
-
-
-@pytest.fixture(scope="module")
-def recursion_battery():
-    """Shared by criteria 6 and 7: lift of a computed transform vs direct."""
-    engine = CentralFDEngine(step=0.01)
-    out = {}
-    for name, prof in (("gaussian", GAUSS), ("exponential", EXP)):
-        for n in (1, 2, 3):
-            transform_profile = CallableProfile(
-                lambda rho, p=prof, nn=n: radial_fourier(p, nn, rho))
-            for r in (0.25, 0.5, 1.0, 2.0):
-                lifted = lift_once(transform_profile, r, engine).value
-                direct = radial_fourier(prof, n + 2, r)
-                out[(name, n, r)] = (lifted, direct)
-    return out
-
-
-def test_criterion_06_recursion_consistency(recursion_battery):
-    start = time.perf_counter()
-    worst = max(abs(lifted - direct)
-                for lifted, direct in recursion_battery.values())
-    elapsed = time.perf_counter() - start
-    report(6, "lift of computed transform equals direct higher transform",
-           worst, 1e-6, f", battery of {len(recursion_battery)}")
-    assert time.perf_counter() - start < 120.0
-
-
-def test_criterion_07_prediff_agreement(recursion_battery):
-    profiles = {"gaussian": GAUSS, "exponential": EXP}
-    worst = 0.0
-    for (name, n, r), (lifted, _) in recursion_battery.items():
-        prediff = lift_prediff(profiles[name], n, r)
+    for (text, n, r), (lifted, _) in recursion_battery().items():
+        prediff = lift_prediff(profile_from_text(text), n, r)
         worst = max(worst, abs(prediff - lifted))
     report(7, "pre-differentiated route agrees with lift-after-transform",
            worst, 1e-6)
-
-
-def test_criterion_08_gaussian_fixed_point():
-    worst = 0.0
-    for n in range(1, 7):
-        for r in (0.5, 1.0, 2.0):
-            value = radial_fourier(GAUSS, n, r)
-            worst = max(worst, abs(value - math.exp(-math.pi * r * r)))
-    report(8, "Gaussian is the transform fixed point for n=1..6", worst, 1e-8)
-
-
-def test_criterion_09_bessel_derivative_identity():
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for twice_nu in (-1, 0, 1, 2, 3, 4):
-        order = Order(twice_nu)
-        order_up = Order(twice_nu + 2)
-        envelope = lambda x: math.sqrt(2 / math.pi) * x ** (-(order_up.nu + 0.5))
-        count = 0
-        while count < 50:
-            x = float(rng.uniform(0.5, 50.0))
-            rhs = -x * bessel_j_tilde(order_up, x)
-            if abs(rhs) < 0.2 * x * envelope(x):
-                continue
-            h = 1e-5 * max(1.0, x)
-            fd = (bessel_j_tilde(order, x + h)
-                  - bessel_j_tilde(order, x - h)) / (2 * h)
-            worst = max(worst, abs(fd - rhs) / abs(rhs))
-            count += 1
-    report(9, "normalized-kernel derivative identity across orders", worst, 1e-6)
 
 
 def test_criterion_10_plancherel():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from radialift import quadrature
+from radialift.checks import CHECKS
 from radialift.cli import (EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main, parse_grid)
 from radialift.errors import ZeroFindingError
 
@@ -302,10 +303,20 @@ def test_deterministic_output(capsys):
 def test_verify_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "all")
     assert code == EXIT_OK
-    assert "FAIL" not in out
+    *lines, footer = out.splitlines()
+    # one PASS line per row of the table, in its order: none drops silently
+    assert [line.split(":")[0] for line in lines] == [
+        f"PASS {check.id}" for check in CHECKS]
     for suite in ("bessel", "recursion", "coeffs", "kernels", "transform"):
         assert f"PASS {suite}." in out, suite
-    assert out.rstrip().endswith("verification passed")
+    assert footer == "verification passed"
+    # every row runs at a fixed seed, so there is no --seed
+    code, out, err = run_cli(capsys, "verify", "all", "--seed", "1")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("usage: radialift")
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
 
 
 def test_module_entry_point():

@@ -123,6 +123,18 @@ def test_finite_keys_need_one_per_interval():
                              keys=keys)
 
 
+def test_finite_keys_with_numbers_a_and_b():
+    # the one interval takes one key; it was dropped, so f raised TypeError
+    # or integrated with its default key
+    res = integrate_finite(lambda s, k: k * s, 0.0, 1.0, keys=[2.0])
+    assert abs(res.value - 1.0) < 1e-15
+    res = integrate_finite(lambda s, k=2.5: k * s, 0.0, 1.0, keys=[2.0])
+    assert abs(res.value - 1.0) < 1e-15
+    for keys in ([1.0, 2.0], [], [[2.0]], 2.0):
+        with pytest.raises(ValueError):
+            integrate_finite(lambda s, k: k * s, 0.0, 1.0, keys=keys)
+
+
 def test_halfline_laplace_cosine():
     # int_0^inf e^-t sqrt(2/pi) cos(t) dt = sqrt(2/pi) / 2
     res = split_halfline_at_zeros(lambda t: np.exp(-t), Order(-1), 1.0)
