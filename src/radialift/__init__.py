@@ -9,13 +9,14 @@ transform integral, and the dimension-recursion lift that produces the
 
 from .bessel import Order, bessel_j, bessel_j_tilde, bessel_zeros
 from .expr import Expression, differentiate, evaluate, parse, simplify
-from .kernels import (KernelSpec, dalembert, even_to_squared, heat_kernel,
-                      kernel_of_multiplier, kernel_profile, kirchhoff,
-                      projection_kernel, resolvent_kernel)
+from .kernels import (dalembert, even_to_squared, heat_kernel, heat_profile,
+                      kernel_of_multiplier, kirchhoff, projection_kernel,
+                      projection_profile, resolvent_kernel, resolvent_profile,
+                      sech_transform_profile)
 from .lift import (AnalyticEngine, CentralFDEngine, ChebyshevEngine,
                    CoefficientTable, corollary_coefficients,
-                   iterate_operator_symbolic, lift_once, lift_once_at_zero,
-                   lift_once_symbolic, lift_prediff, lift_to_dimension)
+                   iterate_operator_symbolic, lift_once, lift_once_symbolic,
+                   lift_prediff, lift_to_dimension)
 from .quadrature import (QuadratureResult, QuadratureSpec, integrate_finite,
                          split_halfline_at_zeros)
 from .transform import (AnalyticProfile, CallableProfile, RadialProfile,
@@ -29,13 +30,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Order", "bessel_j", "bessel_j_tilde", "bessel_zeros",
     "Expression", "parse", "evaluate", "differentiate", "simplify",
-    "KernelSpec", "resolvent_kernel", "projection_kernel", "heat_kernel",
-    "kernel_of_multiplier", "kernel_profile", "dalembert", "kirchhoff",
+    "resolvent_profile", "projection_profile", "heat_profile",
+    "sech_transform_profile", "resolvent_kernel", "projection_kernel",
+    "heat_kernel", "kernel_of_multiplier", "dalembert", "kirchhoff",
     "even_to_squared",
     "CoefficientTable", "corollary_coefficients", "iterate_operator_symbolic",
     "AnalyticEngine", "ChebyshevEngine", "CentralFDEngine",
-    "lift_once", "lift_once_symbolic", "lift_once_at_zero", "lift_prediff",
-    "lift_to_dimension",
+    "lift_once", "lift_once_symbolic", "lift_prediff", "lift_to_dimension",
     "QuadratureSpec", "QuadratureResult", "integrate_finite",
     "split_halfline_at_zeros",
     "RadialProfile", "AnalyticProfile", "SampledProfile", "CallableProfile",

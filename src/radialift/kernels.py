@@ -17,6 +17,12 @@ closed forms, indexed by family and dimension:
 * the sech family: sech(pi r) is its own 1-d transform, and odd-dimension
   transforms follow by lifting.
 
+Each family has one function that returns its kernel as an expression in
+s and validates its own parameters: ``resolvent_profile(n, z)``,
+``projection_profile(n, E)``, ``heat_profile(n, t)`` and
+``sech_transform_profile(n)``.  The ``*_kernel`` functions evaluate them
+at one radius.
+
 ``kernel_of_multiplier`` computes the kernel of f(-Delta) directly: the
 transform of t -> f(4 pi^2 t^2) (the transform is self-inverse on radial
 functions).  Resolvent multipliers decay only like 1/t^2, and their
@@ -29,7 +35,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +46,18 @@ from .quadrature import QuadratureSpec, integrate_finite
 from .transform import AnalyticProfile, radial_fourier_result, spherical_mean
 
 __all__ = [
-    "KernelSpec", "sqrt_minus_z", "resolvent_kernel", "projection_kernel",
+    "sqrt_minus_z", "resolvent_profile", "projection_profile", "heat_profile",
+    "sech_transform_profile", "resolvent_kernel", "projection_kernel",
     "kernel_of_multiplier", "heat_kernel", "dalembert", "kirchhoff",
-    "even_to_squared", "kernel_profile", "sech_transform_profile",
+    "even_to_squared",
 ]
 
 _RESOLVENT_MAX_DIM = 9
 _PROJECTION_MAX_DIM = 7
+# Kirchhoff's sphere rule: Gauss-Legendre in the colatitude, trapezoid in
+# the longitude; the check reruns it at twice both orders
+_SPHERE_GLQ_ORDER = 24
+_SPHERE_TRAP_ORDER = 48
 
 
 def sqrt_minus_z(z):
@@ -126,6 +136,18 @@ def sech_transform_profile(n):
     return lift_once_symbolic(sech_transform_profile(n - 2))
 
 
+def heat_profile(n, t):
+    """Expression for the heat kernel (4 pi t)^(-n/2) exp(-s^2 / 4t), t > 0."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if t <= 0:
+        raise ValueError("heat needs t > 0")
+    amp = (4.0 * math.pi * t) ** (-n / 2.0)
+    return Product(Constant(amp),
+                   Apply("exp", Negate(Quotient(IntegerPower(S, 2),
+                                                Constant(4.0 * t)))))
+
+
 def resolvent_kernel(n, z, r):
     """Kernel of (-Delta - z)^(-1) at radius r, odd n <= 9, z off [0, inf)."""
     if r <= 0:
@@ -182,23 +204,24 @@ def dalembert(phi, t, x, spec=None):
     return math.copysign(1.0, t) * 0.5 * float(np.real(res.value))
 
 
-def kirchhoff(phi, t, x, spec=None, glq_order=24, trap_order=48):
+def kirchhoff(phi, t, x, spec=None):
     """Kirchhoff's formula u(t, x) = (t / 4 pi) integral_S2 phi(x - t theta).
 
     phi maps an ndarray point of shape (3,) to a number.  The sphere rule is
-    evaluated at the requested orders and at doubled orders; disagreement
-    beyond tolerance raises SphereRuleError.
+    evaluated at orders (24, 48) and at doubled orders; disagreement beyond
+    tolerance raises SphereRuleError.
     """
     if t == 0.0:
         return 0.0
     x = np.asarray(x, dtype=float)
     spec = spec or QuadratureSpec()
     shifted = lambda y: phi(x - y)
-    coarse = t * spherical_mean(shifted, 3, abs(t), glq_order, trap_order)
-    fine = t * spherical_mean(shifted, 3, abs(t), 2 * glq_order, 2 * trap_order)
+    glq, trap = _SPHERE_GLQ_ORDER, _SPHERE_TRAP_ORDER
+    coarse = t * spherical_mean(shifted, 3, abs(t), glq, trap)
+    fine = t * spherical_mean(shifted, 3, abs(t), 2 * glq, 2 * trap)
     if abs(fine - coarse) > 100.0 * max(spec.abs_tol, spec.rel_tol * abs(fine)):
         raise SphereRuleError(
-            f"sphere rule orders ({glq_order},{trap_order}) and doubled "
+            f"sphere rule orders ({glq},{trap}) and doubled "
             f"disagree by {abs(fine - coarse):.3g}")
     return fine
 
@@ -238,51 +261,3 @@ def even_to_squared(f, k, t, spec=None):
 
     res = integrate_finite(integrand, 0.0, 1.0, spec)
     return coeff * float(np.real(res.value))
-
-
-# ---------------------------------------------------------------------------
-# tagged kernel descriptions (CLI-facing)
-
-_FAMILIES = ("sech", "gaussian", "resolvent", "projection", "heat")
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Tagged description of an analytic kernel family in dimension n."""
-
-    family: str
-    n: int
-    z: complex | None = None
-    energy: float | None = None
-    t: float | None = None
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.family == "resolvent":
-            if self.z is None:
-                raise ValueError("resolvent needs z")
-            sqrt_minus_z(self.z)
-        if self.family == "projection" and (self.energy is None or self.energy <= 0):
-            raise ValueError("projection needs E > 0")
-        if self.family == "heat" and (self.t is None or self.t <= 0):
-            raise ValueError("heat needs t > 0")
-
-
-def kernel_profile(spec):
-    """Closed-form profile expression for a cataloged KernelSpec."""
-    if spec.family == "sech":
-        return sech_transform_profile(spec.n)
-    if spec.family == "gaussian":
-        return _expr.parse("exp(-pi*s^2)")
-    if spec.family == "resolvent":
-        return resolvent_profile(spec.n, spec.z)
-    if spec.family == "projection":
-        return projection_profile(spec.n, spec.energy)
-    # heat, the last family
-    amp = (4.0 * math.pi * spec.t) ** (-spec.n / 2.0)
-    return Product(Constant(amp),
-                   Apply("exp", Negate(Quotient(IntegerPower(S, 2),
-                                                Constant(4.0 * spec.t)))))

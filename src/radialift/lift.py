@@ -17,9 +17,18 @@ independent oracle for the closed-form coefficients.
 
 ``lift_once`` (k = 1) and ``lift_to_dimension`` (any k) both evaluate
 that sum in one private evaluator, from the derivatives D^0..D^k that an
-engine supplies at rho.  Engines: symbolic (exact, for expression
+engine supplies at rho.  At rho = 0 the step has a removable singularity;
+there the evaluator takes the j = 0 Taylor term of the even profile,
+
+    F_(n+2k)(0) = k! D^(2k)F(0) / ((2k)! (-pi)^k),
+
+from the engine's D^(2k) at 0.  Engines: symbolic (exact, for expression
 profiles, through ``expr.derivatives``), Chebyshev collocation on a window
-[a, b] with a > 0, and Richardson-extrapolated central differences.
+[a, b] with a > 0, and Richardson-extrapolated central differences.  Each
+engine owns the origin: central differences read the profile at |t| when
+t = 0, the even extension; the symbolic engine takes an h^2 Richardson
+limit of an order it cannot evaluate at 0, up to order 2 (odd orders read
+0, higher ones raise); the Chebyshev window excludes 0.
 Numerical differentiation is the dominant error source of the whole
 pipeline, so the engine is always swappable and every result carries the
 engine's error bounds propagated through the sum.
@@ -37,14 +46,13 @@ import numpy as np
 from . import expr as _expr
 from .errors import EngineError, ParityError
 from .quadrature import _tidy
-from .transform import (AnalyticProfile, CallableProfile, _as_profile,
-                        radial_fourier)
+from .transform import AnalyticProfile, _as_profile, radial_fourier
 
 __all__ = [
     "CoefficientTable", "corollary_coefficients", "iterate_operator_symbolic",
-    "DerivativeEngine", "AnalyticEngine", "ChebyshevEngine", "CentralFDEngine",
-    "LiftResult", "lift_once", "lift_once_symbolic", "lift_once_at_zero",
-    "lift_prediff", "lift_to_dimension", "default_engine",
+    "AnalyticEngine", "ChebyshevEngine", "CentralFDEngine", "LiftResult",
+    "lift_once", "lift_once_symbolic", "lift_prediff", "lift_to_dimension",
+    "default_engine",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -111,28 +119,47 @@ def iterate_operator_symbolic(k):
 
 
 # ---------------------------------------------------------------------------
-# derivative engines
+# derivative engines: derivatives(profile, t, max_order) returns
+# ([d0, d1, ..., d_max_order], error_bounds) at t
 
-class DerivativeEngine:
-    """Produces d^m/dt^m of a radial profile at a point, with an error bound."""
+def _even_limit_at_zero(d, m):
+    """D^m of an even profile at 0, where its expression d cannot be evaluated.
 
-    def derivatives(self, profile, t, max_order):
-        """Return ([d0, d1, ..., d_max_order], error_bounds) at t."""
-        raise NotImplementedError
+    Odd orders vanish.  Orders up to 2 take d(h) = d(0) + O(h^2),
+    Richardson in h^2, at offsets well above the cancellation floor of
+    expressions singular at 0 (sin(t)/t forms); higher orders lose too
+    much to that floor and raise.
+    """
+    if m % 2:
+        return 0.0
+    if m > 2:
+        raise EngineError(
+            f"order {m} at 0 needs a limit, which the analytic engine takes "
+            "only up to order 2")
+    vals = [d.evaluate(h) for h in (4e-2, 2e-2, 1e-2)]
+    first = [(4.0 * b - a) / 3.0 for a, b in zip(vals, vals[1:])]
+    return (16.0 * first[1] - first[0]) / 15.0
 
 
-class AnalyticEngine(DerivativeEngine):
+class AnalyticEngine:
     """Exact symbolic differentiation; profiles must carry an expression."""
 
     def derivatives(self, profile, t, max_order):
         e = profile.expression
         if e is None:
             raise EngineError("analytic engine needs an expression profile")
-        return ([d.evaluate(t) for d in _expr.derivatives(e, max_order)],
-                [0.0] * (max_order + 1))
+        values = []
+        for m, d in enumerate(_expr.derivatives(e, max_order)):
+            try:
+                values.append(d.evaluate(t))
+            except (ValueError, ArithmeticError):
+                if t != 0.0:
+                    raise
+                values.append(_even_limit_at_zero(d, m))
+        return values, [0.0] * (max_order + 1)
 
 
-class ChebyshevEngine(DerivativeEngine):
+class ChebyshevEngine:
     """Chebyshev interpolant of the profile on [a, b], 0 < a, differentiated.
 
     The error bound per order multiplies the interpolant's coefficient tail
@@ -206,11 +233,12 @@ def _fornberg_weights(z, x, m):
 _RICHARDSON_LEVELS = 2
 
 
-class CentralFDEngine(DerivativeEngine):
+class CentralFDEngine:
     """Central finite differences with Richardson extrapolation.
 
     Supports derivative orders up to 4.  The error bound per order is the
-    difference between the two finest Richardson levels.
+    difference between the two finest Richardson levels.  At t = 0 the
+    stencil reads the profile at |t|, its even extension.
     """
 
     def __init__(self, step=0.01):
@@ -229,7 +257,8 @@ class CentralFDEngine(DerivativeEngine):
     def derivatives(self, profile, t, max_order):
         if max_order > 4:
             raise EngineError("central differences support order <= 4")
-        fn = lambda v: float(np.real(profile.values(np.asarray([v]))[0]))
+        fold = abs if t == 0.0 else (lambda v: v)
+        fn = lambda v: float(np.real(profile.values(np.asarray([fold(v)]))[0]))
         values = [fn(t)]
         bounds = [0.0]
         for m in range(1, max_order + 1):
@@ -276,8 +305,16 @@ class LiftResult:
 
 
 def _corollary_sum(profile, rho, k, engine):
-    """k steps at rho > 0: (2 pi)^-k sum_l c_(k,l) rho^(l-2k) (D^l profile)(rho)."""
+    """k steps at rho >= 0.
+
+    rho > 0: (2 pi)^-k sum_l c_(k,l) rho^(l-2k) (D^l profile)(rho).
+    rho = 0: the limit k! (D^(2k) profile)(0) / ((2k)! (-pi)^k).
+    """
     engine = engine or default_engine(profile)
+    if rho == 0:
+        values, bounds = engine.derivatives(profile, 0.0, 2 * k)
+        den = math.factorial(2 * k) * (-math.pi) ** k / math.factorial(k)
+        return LiftResult(_tidy(values[2 * k] / den), abs(bounds[2 * k] / den))
     values, bounds = engine.derivatives(profile, float(rho), k)
     scale = _TWO_PI ** (-k)
     total = 0.0
@@ -290,10 +327,13 @@ def _corollary_sum(profile, rho, k, engine):
 
 
 def lift_once(profile, r, engine=None):
-    """One dimension step: -(1/(2 pi r)) d(profile)/dr at r > 0."""
+    """One dimension step: -(1/(2 pi r)) d(profile)/dr at r >= 0.
+
+    At r = 0 this is the limit -(1/(2 pi)) F''(0) of the even profile.
+    """
     profile = _as_profile(profile)
-    if r <= 0:
-        raise ValueError("lift_once needs r > 0; use lift_once_at_zero at the origin")
+    if r < 0:
+        raise ValueError("lift_once needs r >= 0")
     return _corollary_sum(profile, r, 1, engine)
 
 
@@ -305,35 +345,6 @@ def lift_once_symbolic(expression):
         _expr.Negate(expression.diff()),
         _expr.Product(_expr.Constant(_TWO_PI), _expr.S))
     return _expr.simplify(lifted)
-
-
-def lift_once_at_zero(profile, engine=None):
-    """Removable-singularity limit of the lift at r = 0: -(1/(2 pi)) F''(0).
-
-    Assumes the even extension (F'(0) = 0).  Numeric engines sample the
-    profile through |t|; the analytic path falls back to a shrinking-offset
-    limit when the second derivative expression is singular at 0.
-    """
-    profile = _as_profile(profile)
-    engine = engine or default_engine(profile)
-    if isinstance(engine, AnalyticEngine):
-        if profile.expression is None:
-            raise EngineError("analytic engine needs an expression profile")
-        d2 = _expr.derivatives(profile.expression, 2)[2]
-        try:
-            val = d2.evaluate(0.0)
-        except Exception:
-            # even profile: F''(h) = F''(0) + O(h^2); Richardson in h^2.
-            # Offsets stay well above the cancellation floor of expressions
-            # singular at 0 (e.g. sin(t)/t forms).
-            f = lambda h: d2.evaluate(h)
-            vals = [f(h) for h in (4e-2, 2e-2, 1e-2)]
-            first = [(4.0 * b - a) / 3.0 for a, b in zip(vals, vals[1:])]
-            val = (16.0 * first[1] - first[0]) / 15.0
-        return LiftResult(_tidy(-val / _TWO_PI))
-    even = CallableProfile(lambda t: profile.values(np.abs(t)), profile.is_complex)
-    values, bounds = engine.derivatives(even, 0.0, 2)
-    return LiftResult(_tidy(-values[2] / _TWO_PI), abs(bounds[2]) / _TWO_PI)
 
 
 def lift_prediff(profile, n, r, spec=None):
@@ -361,6 +372,7 @@ def lift_to_dimension(profile, base_dim, target_dim, rho, engine=None):
 
     k = (target_dim - base_dim) / 2 steps:
     value = (2 pi)^-k * sum_l c_(k,l) rho^(l-2k) (D^l profile)(rho).
+    At rho = 0 the value is k! D^(2k) profile(0) / ((2k)! (-pi)^k).
     target_dim == base_dim is the degenerate identity.
     """
     profile = _as_profile(profile)
@@ -370,8 +382,8 @@ def lift_to_dimension(profile, base_dim, target_dim, rho, engine=None):
     if step < 0 or step % 2 != 0:
         raise ParityError(
             f"target {target_dim} is not base {base_dim} plus an even step")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
     k = step // 2
     if k == 0:
         return LiftResult(_tidy(profile.values(np.asarray([rho]))[0]))

@@ -27,7 +27,7 @@ from . import expr as _expr
 from .bessel import Order, _as_order
 from .errors import (ConvergenceError, IntegrabilityError,
                      PoisonedEvaluationError)
-from .quadrature import (QuadratureSpec, integrate_finite,
+from .quadrature import (QuadratureSpec, _call_integrand, integrate_finite,
                          split_halfline_at_zeros)
 
 __all__ = [
@@ -144,14 +144,8 @@ class CallableProfile(RadialProfile):
         self.is_complex = is_complex
 
     def values(self, t):
-        t = np.asarray(t, dtype=float)
-        try:
-            out = np.asarray(self._fn(t), dtype=complex)
-            if out.shape != t.shape:
-                raise ValueError
-        except (TypeError, ValueError):
-            out = np.asarray([self._fn(float(v)) for v in t], dtype=complex)
-        return out
+        return np.asarray(_call_integrand(self._fn, np.asarray(t, dtype=float)),
+                          dtype=complex)
 
 
 def profile_from_text(text):

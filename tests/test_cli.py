@@ -166,6 +166,15 @@ def test_lift_sech(capsys):
     assert row["method"] == "lift-analytic"
 
 
+def test_lift_grid_from_the_origin(capsys):
+    code, out, _ = run_cli(capsys, "lift", "--profile", "sech(pi*s)",
+                           "--from", "1", "--to", "3", "--grid", "0:1:3")
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert [row["r"] for row in rows] == [0.0, 0.5, 1.0]
+    assert abs(rows[0]["value_re"] - math.pi / 2) < 1e-12
+
+
 def test_lift_parity_error(capsys):
     code, _, err = run_cli(capsys, "lift", "--profile", "sech(pi*s)",
                            "--from", "1", "--to", "4", "--grid", "1:1:1")
@@ -221,6 +230,15 @@ def test_kernel_heat(capsys):
     assert code == EXIT_OK
     row = read_csv(out)[0]
     assert abs(row["value_re"] - (4 * math.pi) ** -1.5 * math.exp(-0.25)) < 1e-15
+
+
+@pytest.mark.parametrize("families", [(), ("--heat", "1", "--projection", "1")])
+def test_kernel_needs_exactly_one_family(capsys, families):
+    code, _, err = run_cli(capsys, "kernel", *families, "--dim", "3",
+                           "--grid", "1:1:1")
+    assert code == EXIT_ERROR
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_coeffs_values(capsys):

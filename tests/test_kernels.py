@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from radialift.errors import BranchError
-from radialift.kernels import (KernelSpec, dalembert, even_to_squared,
-                               heat_kernel, kernel_of_multiplier, kernel_profile,
-                               kirchhoff, projection_kernel, projection_profile,
+from radialift.kernels import (dalembert, even_to_squared, heat_kernel,
+                               heat_profile, kernel_of_multiplier, kirchhoff,
+                               projection_kernel, projection_profile,
                                resolvent_kernel, resolvent_profile,
                                sech_transform_profile, sqrt_minus_z)
 from radialift.lift import ChebyshevEngine, lift_once, lift_once_symbolic
@@ -301,25 +301,24 @@ def test_even_to_squared_derivative_bound():
 
 
 # ---------------------------------------------------------------------------
-# kernel specs and catalog access
+# the family functions
 
-def test_kernel_spec_validation():
-    KernelSpec("resolvent", 3, z=-1.0)
+def test_family_profiles_validate_their_parameters():
+    resolvent_profile(3, -1.0)
     with pytest.raises(BranchError):
-        KernelSpec("resolvent", 3, z=1.0)
+        resolvent_profile(3, 1.0)
     with pytest.raises(ValueError):
-        KernelSpec("projection", 3, energy=-1.0)
+        resolvent_profile(4, -1.0)
     with pytest.raises(ValueError):
-        KernelSpec("heat", 3)
+        projection_profile(3, -1.0)
     with pytest.raises(ValueError):
-        KernelSpec("nope", 3)
+        heat_profile(3, 0.0)
+    with pytest.raises(ValueError):
+        heat_profile(0, 1.0)
+    with pytest.raises(ValueError):
+        sech_transform_profile(2)
 
 
-def test_kernel_profile_catalog():
-    spec = KernelSpec("heat", 3, t=1.0)
-    prof = kernel_profile(spec)
+def test_heat_profile_is_the_heat_kernel():
+    prof = heat_profile(3, 1.0)
     assert abs(prof.evaluate(1.0).real - heat_kernel(3, 1.0, 1.0)) < 1e-15
-    spec = KernelSpec("gaussian", 2)
-    assert abs(kernel_profile(spec).evaluate(1.0).real - math.exp(-math.pi)) < 1e-15
-    with pytest.raises(ValueError):
-        kernel_profile(KernelSpec("wave", 3, t=1.0))

@@ -11,13 +11,13 @@ from radialift.errors import EngineError, ParityError
 from radialift.lift import (AnalyticEngine, CentralFDEngine, ChebyshevEngine,
                             corollary_coefficients, default_engine,
                             iterate_operator_symbolic, lift_once,
-                            lift_once_at_zero, lift_once_symbolic, lift_prediff,
-                            lift_to_dimension)
+                            lift_once_symbolic, lift_prediff, lift_to_dimension)
 from radialift.transform import (CallableProfile, SampledProfile,
                                  profile_from_text, radial_fourier)
 
 SECH = profile_from_text("sech(pi*s)")
 GAUSS = profile_from_text("exp(-pi*s^2)")
+ABS_EXP_1D = profile_from_text("2/(1+4*pi^2*s^2)")  # transform of exp(-|x|)
 
 
 def sech_lift_closed(r):
@@ -82,8 +82,11 @@ def test_lift_resolvent_step():
 
 
 def test_lift_rejects_origin():
+    # the origin is a removable singularity; only r < 0 is out of range
     with pytest.raises(ValueError):
-        lift_once(GAUSS, 0.0)
+        lift_once(GAUSS, -0.5)
+    with pytest.raises(ValueError):
+        lift_to_dimension(GAUSS, 2, 4, -0.5)
 
 
 def test_lift_linearity():
@@ -98,11 +101,11 @@ def test_lift_linearity():
 # lift at the origin
 
 def test_lift_at_zero_gaussian():
-    assert abs(lift_once_at_zero(GAUSS).value - 1.0) < 1e-14
+    assert abs(lift_once(GAUSS, 0.0).value - 1.0) < 1e-14
 
 
 def test_lift_at_zero_sech():
-    assert abs(lift_once_at_zero(SECH).value - math.pi / 2) < 1e-13
+    assert abs(lift_once(SECH, 0.0).value - math.pi / 2) < 1e-13
 
 
 def test_lift_at_zero_projection_profile():
@@ -110,7 +113,10 @@ def test_lift_at_zero_projection_profile():
     # limit of the three-dimensional projection kernel at E = 1
     p1 = profile_from_text("sin(s)/(pi*s)")
     limit = 1.0 / (6.0 * math.pi ** 2)
-    assert abs(lift_once_at_zero(p1).value - limit) < 1e-10
+    assert abs(lift_once(p1, 0.0).value - limit) < 1e-10
+    # its limit at 0 stops at D^2; D^4 would lose its digits to cancellation
+    with pytest.raises(EngineError):
+        lift_to_dimension(p1, 1, 5, 0.0)
     # oracle: series of (sin t - t cos t)/(2 pi^2 t^3) at t -> 0 is 1/(6 pi^2)
     t = 1e-3
     p3 = (math.sin(t) - t * math.cos(t)) / (2 * math.pi ** 2 * t ** 3)
@@ -119,8 +125,23 @@ def test_lift_at_zero_projection_profile():
 
 def test_lift_at_zero_numeric_engine():
     prof = CallableProfile(lambda t: np.exp(-math.pi * t ** 2))
-    res = lift_once_at_zero(prof, CentralFDEngine(step=0.02))
+    res = lift_once(prof, 0.0, CentralFDEngine(step=0.02))
     assert abs(res.value - 1.0) < 1e-8
+    res = lift_to_dimension(prof, 2, 6, 0.0, CentralFDEngine(step=0.02))
+    assert abs(res.value - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lift_at_zero_is_the_taylor_term(k):
+    # k steps at the origin: k! D^(2k)F(0) / ((2k)! (-pi)^k).  From n = 1,
+    # exp(-|x|)'s transform lifts to Gamma((n+1)/2) 2^n pi^((n-1)/2) at 0.
+    n = 1 + 2 * k
+    abs_exp = math.gamma((n + 1) / 2) * 2 ** n * math.pi ** ((n - 1) / 2)
+    for profile, base, exact in ((GAUSS, 2, 1.0), (ABS_EXP_1D, 1, abs_exp)):
+        value = lift_to_dimension(profile, base, base + 2 * k, 0.0).value
+        assert abs(value - exact) <= 1e-13 * exact
+        if k == 1:
+            assert abs(lift_once(profile, 0.0).value - exact) <= 1e-13 * exact
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +230,8 @@ def test_chebyshev_engine_against_analytic():
     assert abs(res.value - sech_lift_closed(1.0)) < 1e-10
     with pytest.raises(EngineError):
         lift_once(numeric, 3.0, engine)
+    with pytest.raises(EngineError):
+        lift_once(numeric, 0.0, engine)
 
 
 def test_sampled_profile_lift_with_error_bound():
