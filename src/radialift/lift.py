@@ -27,8 +27,9 @@ profiles, through ``expr.derivatives``), Chebyshev collocation on a window
 [a, b] with a > 0, and Richardson-extrapolated central differences.  Each
 engine owns the origin: central differences read the profile at |t| when
 t = 0, the even extension; the symbolic engine takes an h^2 Richardson
-limit of an order it cannot evaluate at 0, up to order 2 (odd orders read
-0, higher ones raise); the Chebyshev window excludes 0.
+limit of an order it cannot evaluate at 0, up to order 2, bounded by the
+gap of its last two levels (odd orders read 0, higher ones raise); the
+Chebyshev window excludes 0.
 Numerical differentiation is the dominant error source of the whole
 pipeline, so the engine is always swappable and every result carries the
 engine's error bounds propagated through the sum.
@@ -123,40 +124,47 @@ def iterate_operator_symbolic(k):
 # ([d0, d1, ..., d_max_order], error_bounds) at t
 
 def _even_limit_at_zero(d, m):
-    """D^m of an even profile at 0, where its expression d cannot be evaluated.
+    """D^m of an even profile at 0, where its expression d cannot be
+    evaluated, and its error bound.
 
-    Odd orders vanish.  Orders up to 2 take d(h) = d(0) + O(h^2),
+    Odd orders vanish, exactly.  Orders up to 2 take d(h) = d(0) + O(h^2),
     Richardson in h^2, at offsets well above the cancellation floor of
-    expressions singular at 0 (sin(t)/t forms); higher orders lose too
-    much to that floor and raise.
+    expressions singular at 0 (sin(t)/t forms), bounded by the gap between
+    the last two Richardson levels; higher orders lose too much to that
+    floor and raise.
     """
     if m % 2:
-        return 0.0
+        return 0.0, 0.0
     if m > 2:
         raise EngineError(
             f"order {m} at 0 needs a limit, which the analytic engine takes "
             "only up to order 2")
     vals = [d.evaluate(h) for h in (4e-2, 2e-2, 1e-2)]
     first = [(4.0 * b - a) / 3.0 for a, b in zip(vals, vals[1:])]
-    return (16.0 * first[1] - first[0]) / 15.0
+    limit = (16.0 * first[1] - first[0]) / 15.0
+    return limit, abs(limit - first[1])
 
 
 class AnalyticEngine:
-    """Exact symbolic differentiation; profiles must carry an expression."""
+    """Exact symbolic differentiation; profiles must carry an expression.
+
+    Its bounds are 0, except for a limit at 0 (``_even_limit_at_zero``)."""
 
     def derivatives(self, profile, t, max_order):
         e = profile.expression
         if e is None:
             raise EngineError("analytic engine needs an expression profile")
-        values = []
+        values, bounds = [], []
         for m, d in enumerate(_expr.derivatives(e, max_order)):
             try:
-                values.append(d.evaluate(t))
+                value, bound = d.evaluate(t), 0.0
             except (ValueError, ArithmeticError):
                 if t != 0.0:
                     raise
-                values.append(_even_limit_at_zero(d, m))
-        return values, [0.0] * (max_order + 1)
+                value, bound = _even_limit_at_zero(d, m)
+            values.append(value)
+            bounds.append(bound)
+        return values, bounds
 
 
 class ChebyshevEngine:

@@ -20,8 +20,9 @@ cut at its end, so that a profile living near 0 is seen even when omega is
 tiny.  Every head runs to min(end, 1e8) and may stop past that once three
 windows in a row are negligible.  A head with no end (omega = 0, the
 moment, or z_1 / omega overflowed) also stops there at once if it has read
-only zeros.  The heads go first, then the segments, the next segment of
-every omega per round; each round is one ``integrate_finite`` call.
+only zeros.  Per round, each omega's line hands over its next pieces (head
+windows while its head runs, then one segment), one ``integrate_finite``
+call integrates those of every line, and each line folds its own back in.
 ``integrate_halfline_decaying`` is the omega = 0 line of order 0.
 
 The engine's flag is the verdict on the tail, so two rules keep a tail that
@@ -332,17 +333,21 @@ _HEAD_REACH = 1e8
 
 
 class _HalfLine:
-    """Head windows, partial sums, epsilon table, streak counters and exit
-    rules of one omega."""
+    """One omega's line: its pieces (head windows, then segments), partial
+    sums, epsilon table, streak counters, exit rules, budget and scale, the
+    kernel's constant Jt_nu(0) at omega = 0, where the line integrates g."""
 
-    __slots__ = ("spec", "end", "a", "width", "head_streak",
-                 "partial", "evals", "panel_err", "wynn", "accel",
-                 "accel_deltas", "small_streak", "grow_streak",
+    __slots__ = ("spec", "omega", "end", "scale", "k", "a", "width",
+                 "head_streak", "partial", "evals", "panel_err", "wynn",
+                 "accel", "accel_deltas", "small_streak", "grow_streak",
                  "shrink_streak", "max_seg", "last_seg")
 
-    def __init__(self, spec, end):
+    def __init__(self, spec, omega, z1, order):
         self.spec = spec
-        self.end = end
+        self.omega = omega
+        self.end = z1 / omega if omega else math.inf
+        self.scale = None if omega else jtilde_at_zero(order)
+        self.k = 0  # segments done
         self.a = 0.0
         self.width = 1.0
         self.head_streak = 0
@@ -358,11 +363,14 @@ class _HalfLine:
         self.max_seg = 0.0
         self.last_seg = math.inf
 
-    def head_windows(self):
-        """The next windows of [0, 1], [1, 3], [3, 7], ... (each twice as
-        wide as the last), cut at the head's end: all of them up to
+    def pieces(self, zeros):
+        """The next head windows of [0, 1], [1, 3], [3, 7], ... (each twice
+        as wide as the last), cut at the head's end: all of them up to
         t = 1e8, where no stop rule can end the head, then as many as the
-        stop rule needs before it can."""
+        stop rule needs before it can; after the head, the next segment."""
+        if not self.a < self.end:
+            k, omega = self.k, self.omega
+            return [(zeros[k] / omega, zeros[k + 1] / omega)]
         out = []
         while self.a < self.end and (self.a < _HEAD_REACH
                                      or len(out) < 3 - self.head_streak):
@@ -371,6 +379,18 @@ class _HalfLine:
             self.a = b
             self.width *= 2.0
         return out
+
+    def fold(self, a, b, part):
+        """Fold in the piece [a, b], which integrated to ``part``: a head
+        window before the head's end, else a segment; the line's result if
+        it ends there (out of budget after max_oscillations segments)."""
+        if a < self.end:
+            return self.add_head(a, b, part)
+        self.k += 1
+        done = self.add(self.k, a, part)
+        if done is None and self.k >= self.spec.max_oscillations:
+            return self.out_of_budget()
+        return done
 
     def _truncate(self, a):
         """The far-tail rule: an integrand that fails at t = a after three
@@ -381,14 +401,17 @@ class _HalfLine:
             raise PoisonedEvaluationError(a)
         warnings.warn("integrand failed in the far tail; truncating "
                       f"at t={a:.3g} after negligible contributions",
-                      RuntimeWarning, stacklevel=4)
+                      RuntimeWarning, stacklevel=5)
         return self._result(self.partial, self.panel_err + abs(self.last_seg))
 
     def _result(self, value, error, converged=True):
-        """The line's result at any exit: converged only if the exit says so
-        and the value and the estimate are finite."""
-        return QuadratureResult(_tidy(value), error, self.evals,
-                                converged and _finite(value, error))
+        """The line's result at any exit, scaled at omega = 0: converged only
+        if the exit says so and the value and the estimate are finite."""
+        converged = converged and _finite(value, error)
+        value = _tidy(value)
+        if self.scale is not None:
+            value, error = value * self.scale, error * self.scale
+        return QuadratureResult(value, error, self.evals, converged)
 
     def add_head(self, a, b, part):
         """Fold in the head window [a, b], which integrated to ``part`` (None
@@ -504,8 +527,9 @@ def split_halfline_at_zeros(g, nu, omega, spec=None):
     to the plain moment, and its value and estimate are then scaled by
     Jt_nu(0).  numpy's floating-point warnings stay inside the engine.  NaN
     from g raises PoisonedEvaluationError, or, after three contributions
-    below abs_tol, ends the sum there with a RuntimeWarning.  The head and
-    segment rules are those of the module docstring and ``_HalfLine``.
+    below abs_tol, ends the sum there with a RuntimeWarning.  Each omega is
+    one ``_HalfLine``, which owns the head and segment rules of the module
+    docstring; one loop runs them all.
     """
     spec = spec or DEFAULT_SPEC
     order = _as_order(nu)
@@ -516,8 +540,7 @@ def split_halfline_at_zeros(g, nu, omega, spec=None):
         raise ValueError("omega must be a number or a 1-d array")
     if not all(0.0 <= w < math.inf for w in omegas.tolist()):
         raise ValueError("omega must be nonnegative and finite")
-    at_zero = omegas == 0.0
-    moments = at_zero.any()
+    moments = (omegas == 0.0).any()
 
     def integrand(t, w):
         y = _call_integrand(g, t)
@@ -530,56 +553,26 @@ def split_halfline_at_zeros(g, nu, omega, spec=None):
 
     with np.errstate(all="ignore"):
         chunk = 64
-        zeros = np.array(bessel_zeros(order, chunk))
+        zeros = bessel_zeros(order, chunk)
         inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
                                max_panels=min(spec.max_panels, 200),
                                max_oscillations=spec.max_oscillations)
-        # the head ends at z_1 / omega: inf at omega = 0 and where it overflows
-        lines = [_HalfLine(spec, end) for end in (zeros[0] / omegas).tolist()]
-        results = [None] * omegas.size
-
-        # head rounds: the windows of every line still in its head go to one
-        # integrand call per round; the first takes every window below 1e8
-        running = list(range(omegas.size))
+        lines = [_HalfLine(spec, w, zeros[0], order) for w in omegas.tolist()]
+        results = [None] * len(lines)
+        running = list(range(len(lines)))
         while running:
-            windows = [(i, a, b) for i in running
-                       for a, b in lines[i].head_windows()]
-            owner, lo, hi = zip(*windows)
+            # a line's next segment ends at z_(k+2)
+            if max(lines[i].k for i in running) + 2 > len(zeros):
+                zeros = bessel_zeros(order, len(zeros) + chunk)
+            pieces = [(i, a, b) for i in running
+                      for a, b in lines[i].pieces(zeros)]
+            owner, lo, hi = zip(*pieces)
             parts = integrate_finite(integrand, np.array(lo), np.array(hi),
                                      inner, omegas[list(owner)])
             for i, a, b, part in zip(owner, lo, hi, parts):
-                if results[i] is None:  # a line's windows after its end
-                    results[i] = lines[i].add_head(a, b, part)
-            running = [i for i in running
-                       if results[i] is None and lines[i].a < lines[i].end]
-
-        # segment rounds: the next segment of every line still running
-        running = [i for i, done in enumerate(results) if done is None]
-        w = omegas[running]
-        k = 0
-        while k < spec.max_oscillations and running:
-            k += 1
-            if k + 1 > len(zeros):
-                zeros = np.array(bessel_zeros(order, len(zeros) + chunk))
-            a = zeros[k - 1] / w
-            segs = integrate_finite(integrand, a, zeros[k] / w, inner, w)
-            still = []
-            for i, start, seg in zip(running, a.tolist(), segs):
-                done = lines[i].add(k, start, seg)
-                if done is None:
-                    still.append(i)
-                else:
-                    results[i] = done
-            if len(still) < len(running):
-                running = still
-                w = omegas[running]
-        for i in running:
-            results[i] = lines[i].out_of_budget()
-
-    for res, zero in zip(results, at_zero.tolist()):
-        if zero:
-            res.value *= jtilde_at_zero(order)
-            res.error_estimate *= jtilde_at_zero(order)
+                if results[i] is None:  # a line's pieces after its end
+                    results[i] = lines[i].fold(a, b, part)
+            running = [i for i in running if results[i] is None]
     return results[0] if scalar else results
 
 

@@ -123,6 +123,14 @@ def test_lift_at_zero_projection_profile():
     assert abs(p3 - limit) < 1e-8
 
 
+def test_lift_at_zero_limit_reports_its_error():
+    # the Richardson limit of D^2 at 0 is not exact: its bound, the gap of
+    # its last two levels, covers the distance to 1/(6 pi^2)
+    res = lift_once(profile_from_text("sin(s)/(pi*s)"), 0.0)
+    error = abs(res.value - 1.0 / (6.0 * math.pi ** 2))
+    assert error <= res.error_estimate < 1e-9
+
+
 def test_lift_at_zero_numeric_engine():
     prof = CallableProfile(lambda t: np.exp(-math.pi * t ** 2))
     res = lift_once(prof, 0.0, CentralFDEngine(step=0.02))

@@ -249,6 +249,23 @@ def test_grid_equals_its_points(text, n, radii):
         sum(g.evaluations for g in grid)
 
 
+@pytest.mark.parametrize("text, n, radii, spec", [
+    # the r = 0 line is still in its head while the others run segments
+    ("1/(1+s^2)", 1, [0.0, 1e-3, 1.0, 2.0], None),
+    # the lines at r > 0 end out of budget, unconverged; r = 0 converges
+    ("exp(-s)", 3, [0.0, 0.5, 1.0, 2.0], QuadratureSpec(max_oscillations=2)),
+])
+def test_grid_gives_exactly_its_points(text, n, radii, spec):
+    points = [radial_fourier_result(text, n, r, spec) for r in radii]
+    grid = radial_fourier_grid(text, n, radii, spec)
+    for p, g in zip(points, grid):
+        assert (g.value, g.error_estimate, g.evaluations, g.converged) == \
+            (p.value, p.error_estimate, p.evaluations, p.converged)
+    assert len(grid) == len(points)
+    if spec is not None:
+        assert [p.converged for p in points] == [True, False, False, False]
+
+
 def _moment(text, n):
     """The transform at r = 0: the integral of the profile over n-space."""
     if text == "exp(-pi*s^2)":
@@ -334,6 +351,20 @@ def test_hankel_high_order_far_from_r_equal_one():
 
 def test_hankel_zero_profile():
     assert hankel(profile_from_text("0"), 0.5, 1.3) == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="reads 0, converged: every segment "
+                   "before the bump lies below abs_tol, so the negligible-"
+                   "terms exit fires at k = 4 (ROADMAP item 1)")
+def test_profile_far_from_the_origin():
+    # exp(-(s-40)^2) in 3 dimensions: (2/r) sqrt(pi) exp(-a^2/4)
+    # (40 sin(40 a) + (a/2) cos(40 a)) with a = 2 pi r; mpmath agrees to 1e-14
+    r = 0.3
+    a = 2 * math.pi * r
+    exact = (2 / r * math.sqrt(math.pi) * math.exp(-a * a / 4)
+             * (40 * math.sin(40 * a) + a / 2 * math.cos(40 * a)))
+    res = radial_fourier_result("exp(-(s-40)^2)", 3, r)
+    assert abs(res.value - exact) <= 1e-10 * abs(exact)
 
 
 def test_hankel_profile_domain_error_propagates():
