@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import checks, kernels, lift as _lift, transform as _transform
-from .errors import (ConvergenceError, EngineError, PoisonedEvaluationError,
-                     ZeroFindingError)
+from .errors import ConvergenceError, EngineError, ZeroFindingError
 from .quadrature import QuadratureSpec
 
 EXIT_OK = 0
@@ -220,7 +219,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, ConvergenceError, EngineError,
-            PoisonedEvaluationError, ZeroFindingError, OSError) as exc:
+            ZeroFindingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:

@@ -43,7 +43,7 @@ from .errors import BranchError, SphereRuleError
 from .expr import Apply, Constant, IntegerPower, Negate, Product, Quotient, S, Sum
 from .lift import lift_once_symbolic
 from .quadrature import QuadratureSpec, integrate_finite
-from .transform import AnalyticProfile, radial_fourier_result, spherical_mean
+from .transform import AnalyticProfile, radial_fourier, spherical_mean
 
 __all__ = [
     "sqrt_minus_z", "resolvent_profile", "projection_profile", "heat_profile",
@@ -184,12 +184,7 @@ def kernel_of_multiplier(f, n, r, spec=None):
         f = _expr.parse(f)
     inner = Product(Constant(4.0 * math.pi ** 2), IntegerPower(S, 2))
     profile = AnalyticProfile(_expr.simplify(f.substitute(inner)))
-    res = radial_fourier_result(profile, n, r, spec)
-    if not res.converged:
-        from .errors import ConvergenceError
-        raise ConvergenceError(
-            f"multiplier transform did not converge at r={r}", res)
-    return res.value
+    return radial_fourier(profile, n, r, spec)
 
 
 # ---------------------------------------------------------------------------

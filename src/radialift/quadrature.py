@@ -25,7 +25,7 @@ windows while its head runs, then one segment), one ``integrate_finite``
 call integrates those of every line, and each line folds its own back in.
 ``integrate_halfline_decaying`` is the omega = 0 line of order 0.
 
-The engine's flag is the verdict on the tail, so two rules keep a tail that
+The engine's flag is the verdict on the tail, so three rules keep a tail that
 does not decay from reading as converged:
 
 * the accelerated exit also needs the last two segments to shrink, each
@@ -33,7 +33,10 @@ does not decay from reading as converged:
   that is not the integral while the segments grow or hold their size;
 * every head, not only an endless one, ends unconverged after eight
   windows in a row past 1e8, each above 100 abs_tol and over 0.99 times
-  the one before.
+  the one before;
+* a head window past 1e8 that its panels could not resolve ends the line
+  unconverged: the rules there judge windows by size.  This bounds an
+  endless head that still oscillates, as the moment of sin(t)/t does.
 
 Values may be complex (profiles with complex parameters integrate directly);
 error bookkeeping uses absolute values throughout.  A result whose value or
@@ -395,10 +398,10 @@ class _HalfLine:
     def _truncate(self, a):
         """The far-tail rule: an integrand that fails at t = a after three
         consecutive negligible contributions, head windows and segments
-        alike, ends the sum there, with a warning; sooner, it raises
-        PoisonedEvaluationError."""
+        alike, ends the sum there, with a warning; sooner, it ends the line
+        unconverged, with its partial sum and an infinite estimate."""
         if self.small_streak < 3:
-            raise PoisonedEvaluationError(a)
+            return self._result(self.partial, math.inf, False)
         warnings.warn("integrand failed in the far tail; truncating "
                       f"at t={a:.3g} after negligible contributions",
                       RuntimeWarning, stacklevel=5)
@@ -420,11 +423,12 @@ class _HalfLine:
 
         Once a window reaches t = 1e8, the head stops after three windows
         in a row, each negligible against the nonzero running total and no
-        larger than the one before, and ends unconverged after eight windows
-        in a row, each above 100 abs_tol and over 0.99 times the one
-        before, as a divergent integral's are.  A head with no end also
-        stops at once while that total is still exactly 0 (so a profile
-        that lives only beyond 1e8 reads 0 there)."""
+        larger than the one before.  It ends unconverged at a window that
+        did not converge within its panels, or after eight windows in a
+        row, each above 100 abs_tol and over 0.99 times the one before, as
+        a divergent integral's are.  A head with no end also stops at once
+        while that total is still exactly 0 (so a profile that lives only
+        beyond 1e8 reads 0 there)."""
         if part is None:
             return self._truncate(a)
         spec = self.spec
@@ -442,9 +446,10 @@ class _HalfLine:
             return None
         # divergence watch: 0.99^1000 > 1e-5, and fewer than 1000 windows
         # lie between 1e8 and overflow, so a tail that shrinks more slowly
-        # never meets the tolerance
+        # never meets the tolerance.  The rules here judge windows by size,
+        # which a window the panels did not resolve does not give.
         self.grow_streak = self.grow_streak + 1 if grew else 0
-        if self.grow_streak >= 8:
+        if self.grow_streak >= 8 or not part.converged:
             return self._result(self.partial, self.panel_err + size, False)
         if self.head_streak >= 3 or (self.end == math.inf and not self.partial):
             return self._result(self.partial, self.panel_err + size)
@@ -471,7 +476,7 @@ class _HalfLine:
         # contribution than the truncation rule above needs, so that an
         # overflow arriving right after three dead segments still truncates
         # cleanly.  The streak runs on from the head, so a segment that
-        # fails right after an all-zero head is truncated, not raised.
+        # fails right after an all-zero head is truncated.
         if seg_size <= spec.abs_tol:
             self.small_streak += 1
             if self.small_streak >= 4 and k >= 4:
@@ -526,9 +531,9 @@ def split_halfline_at_zeros(g, nu, omega, spec=None):
     line integrates g alone, so the head's stop rule and the tolerance apply
     to the plain moment, and its value and estimate are then scaled by
     Jt_nu(0).  numpy's floating-point warnings stay inside the engine.  NaN
-    from g raises PoisonedEvaluationError, or, after three contributions
-    below abs_tol, ends the sum there with a RuntimeWarning.  Each omega is
-    one ``_HalfLine``, which owns the head and segment rules of the module
+    from g ends only that omega's line: after three contributions below
+    abs_tol with a RuntimeWarning, sooner unconverged.  Each omega is one
+    ``_HalfLine``, which owns the head and segment rules of the module
     docstring; one loop runs them all.
     """
     spec = spec or DEFAULT_SPEC

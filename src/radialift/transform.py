@@ -282,14 +282,18 @@ def radial_fourier_result(f, n, r, spec=None):
     return radial_fourier_grid(f, n, [float(r)], spec)[0]
 
 
-def radial_fourier(f, n, r, spec=None):
-    """Radial Fourier transform value; raises ConvergenceError if not converged."""
-    res = radial_fourier_result(f, n, r, spec)
+def _checked_value(res, what, r):
+    """res.value, or ConvergenceError carrying res if it did not converge."""
     if not res.converged:
         raise ConvergenceError(
-            f"transform quadrature did not converge at r={r} "
+            f"{what} quadrature did not converge at r={r} "
             f"(estimate {res.error_estimate:.3g})", res)
     return res.value
+
+
+def radial_fourier(f, n, r, spec=None):
+    """Radial Fourier transform value; raises ConvergenceError if not converged."""
+    return _checked_value(radial_fourier_result(f, n, r, spec), "transform", r)
 
 
 def hankel_result(f, nu, r, spec=None):
@@ -319,11 +323,8 @@ def hankel_result(f, nu, r, spec=None):
 
 
 def hankel(f, nu, r, spec=None):
-    res = hankel_result(f, nu, r, spec)
-    if not res.converged:
-        raise ConvergenceError(
-            f"Hankel quadrature did not converge at r={r}", res)
-    return res.value
+    """Hankel transform value; raises ConvergenceError if not converged."""
+    return _checked_value(hankel_result(f, nu, r, spec), "Hankel", r)
 
 
 def hankel_fourier_relation(f, n, r, spec=None):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
 from radialift.bessel import Order
@@ -180,12 +181,15 @@ def test_halfline_overflow_truncates_dead_tail():
     assert res.converged
 
 
-def test_halfline_early_failure_poisons():
+def test_halfline_early_failure_ends_the_line_unconverged():
+    # NaN past t = 2, in the head's second window [1, z_1]: the line ends
+    # with the sum of its first window, unconverged, and an infinite estimate
     def g(t):
         t = np.asarray(t, dtype=float)
         return np.where(t > 2.0, np.nan, np.ones_like(t))
-    with pytest.raises(PoisonedEvaluationError):
-        split_halfline_at_zeros(g, Order(0), 1.0)
+    res = split_halfline_at_zeros(g, Order(0), 1.0)
+    assert not res.converged and res.error_estimate == math.inf
+    assert res.value == integrate_finite(sp.j0, 0.0, 1.0).value
 
 
 def test_halfline_divergence_flagged():
@@ -256,12 +260,22 @@ def test_halfline_omega_validation():
             split_halfline_at_zeros(lambda t: np.exp(-t), Order(0), bad)
 
 
-def test_halfline_nan_in_one_omega_poisons_the_batch():
+def test_halfline_nan_in_one_omega_spares_the_batch():
+    # omega = 50 converges before t = 2; the lines of 5 and 1 meet the NaN
+    # while e^-t is large, and end unconverged with an infinite estimate
     def g(t):
         t = np.asarray(t, dtype=float)
         return np.where(t > 2.0, np.nan, np.exp(-t))
-    with pytest.raises(PoisonedEvaluationError):
-        split_halfline_at_zeros(g, Order(0), np.array([5.0, 1.0]))
+    omegas = np.array([5.0, 50.0, 1.0])
+    batch = split_halfline_at_zeros(g, Order(0), omegas)
+    for omega, res in zip(omegas, batch):
+        assert res == split_halfline_at_zeros(g, Order(0), float(omega))
+    fast, slow = batch[1], (batch[0], batch[2])
+    assert fast.converged
+    assert abs(fast.value - 1.0 / math.sqrt(1.0 + 50.0 ** 2)) < 1e-12
+    for res in slow:
+        assert not res.converged and res.error_estimate == math.inf
+        assert math.isfinite(res.value)
 
 
 def test_halfline_head_nan_after_negligible_windows_truncates():
@@ -288,10 +302,44 @@ def test_halfline_head_nan_after_negligible_windows_truncates():
         with pytest.warns(RuntimeWarning, match="far tail"):
             res = split_halfline_at_zeros(dead, Order(-1), omega)
         assert res.converged and res.value == 0.0, omega
-    # NaN before three negligible windows still poisons
+    # NaN before three negligible windows ends the line unconverged
     early = lambda t: np.where(np.asarray(t) > 2.0, np.nan, np.exp(-t))
-    with pytest.raises(PoisonedEvaluationError):
-        split_halfline_at_zeros(early, Order(-1), 1e-5)
+    res = split_halfline_at_zeros(early, Order(-1), 1e-5)
+    assert not res.converged and res.error_estimate == math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.1, 5.0), cut=st.floats(0.5, 1e4),
+       omegas=st.lists(st.just(0.0) | st.floats(1e-3, 20.0),
+                       min_size=1, max_size=4),
+       twice_nu=st.sampled_from((-1, 0, 1, 2, 5)))
+def test_halfline_lines_end_alone(a, cut, omegas, twice_nu):
+    # e^(-a t) up to the cut and NaN beyond: whether a line truncates its
+    # dead tail, ends unconverged or converges first, the call returns
+    # every line's result, each as its lone run gives it
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > cut, np.nan, np.exp(-a * t))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        batch = split_halfline_at_zeros(g, Order(twice_nu), np.array(omegas))
+        lone = [split_halfline_at_zeros(g, Order(twice_nu), w) for w in omegas]
+    assert len(batch) == len(omegas)
+    for res, single in zip(batch, lone):
+        assert res == single
+        assert math.isfinite(res.error_estimate) or not res.converged
+
+
+def test_oscillating_moment_ends_unconverged():
+    # int_0^inf sin(t)/t = pi/2 converges only conditionally.  Past t = 1e8
+    # a head window's 200 panels cannot resolve the oscillation, and the
+    # first such window ends the endless head, which would otherwise step
+    # on to overflow
+    res = integrate_halfline_decaying(lambda t: np.sinc(t / np.pi))
+    assert not res.converged
+    assert res.error_estimate >= abs(res.value - math.pi / 2)
+    assert res.evaluations < 150_000
 
 
 def test_kronrod_panels_match_a_per_panel_loop():

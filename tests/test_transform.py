@@ -394,6 +394,25 @@ def test_out_of_oscillations_raises_convergence_error():
         assert not err.value.result.converged
 
 
+def test_a_moment_that_fails_spares_its_grid():
+    # sin(s)/(pi s) is integrable near 0, but its moment converges only
+    # conditionally: the r = 0 line ends unconverged, and the points at
+    # r > 0 come back exactly as their lone runs give them
+    text = "sin(s)/(pi*s)"
+    radii = [0.0, 0.05, 0.2, 1.0]
+    grid = radial_fourier_grid(text, 1, radii)
+    for r, res in zip(radii[1:], grid[1:]):
+        assert res == radial_fourier_result(text, 1, r)
+        assert res.converged
+    moment = grid[0]
+    assert not moment.converged
+    assert moment.error_estimate >= abs(moment.value - 1.0)
+    assert moment.evaluations < 150_000
+    with pytest.raises(ConvergenceError) as err:
+        radial_fourier(text, 1, 0.0)
+    assert err.value.result == moment
+
+
 def test_hankel_fourier_relation_battery():
     for prof, n, r, tol in [(GAUSS, 2, 1.0, 1e-9), (GAUSS, 3, 0.5, 1e-9),
                             (SECH, 1, 1.0, 1e-8),
