@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Quadrature raises none of them for a failed integral: a NaN from the
+integrand or a missed tolerance is reported in the result, with
+``converged=False``.  The value functions, which return a bare number,
+raise ConvergenceError for such a result.
+"""
 
 
 class ExpressionSyntaxError(ValueError):
@@ -45,14 +51,6 @@ class ZeroFindingError(RuntimeError):
     def __init__(self, index, message):
         super().__init__(f"zero #{index}: {message}")
         self.index = index
-
-
-class PoisonedEvaluationError(RuntimeError):
-    """An integrand returned NaN inside a finite-interval rule."""
-
-    def __init__(self, where):
-        super().__init__(f"integrand returned NaN near x={where!r}")
-        self.where = where
 
 
 class ConvergenceError(RuntimeError):

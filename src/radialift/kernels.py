@@ -43,7 +43,8 @@ from .errors import BranchError, SphereRuleError
 from .expr import Apply, Constant, IntegerPower, Negate, Product, Quotient, S, Sum
 from .lift import lift_once_symbolic
 from .quadrature import QuadratureSpec, integrate_finite
-from .transform import AnalyticProfile, radial_fourier, spherical_mean
+from .transform import (AnalyticProfile, _checked_value, radial_fourier,
+                        spherical_mean)
 
 __all__ = [
     "sqrt_minus_z", "resolvent_profile", "projection_profile", "heat_profile",
@@ -191,12 +192,14 @@ def kernel_of_multiplier(f, n, r, spec=None):
 # wave-equation solution operators
 
 def dalembert(phi, t, x, spec=None):
-    """d'Alembert's formula: (1/2) integral of phi over [x-t, x+t]."""
+    """d'Alembert's formula: (1/2) integral of phi over [x-t, x+t].  An
+    integral that does not converge raises ConvergenceError."""
     if t == 0.0:
         return 0.0
     a, b = sorted((x - t, x + t))
-    res = integrate_finite(phi, a, b, spec)
-    return math.copysign(1.0, t) * 0.5 * float(np.real(res.value))
+    value = _checked_value(integrate_finite(phi, a, b, spec), "d'Alembert",
+                           f"t={t}, x={x}")
+    return math.copysign(1.0, t) * 0.5 * float(np.real(value))
 
 
 def kirchhoff(phi, t, x, spec=None):
@@ -232,7 +235,8 @@ def even_to_squared(f, k, t, spec=None):
         g^(k)(T) = k! 2^(1-2k) k C(2k, k) / (2k)! *
                    integral_0^1 (1 - u^2)^(k-1) f^(2k)(u sqrt(T)) du,
 
-    with f^(2k) obtained by repeated symbolic differentiation.
+    with f^(2k) obtained by repeated symbolic differentiation.  An integral
+    that does not converge raises ConvergenceError.
     """
     if isinstance(f, str):
         f = _expr.parse(f)
@@ -254,5 +258,6 @@ def even_to_squared(f, k, t, spec=None):
         u = np.asarray(u, dtype=float)
         return (1.0 - u ** 2) ** (k - 1) * np.real(d.eval_array(u * root))
 
-    res = integrate_finite(integrand, 0.0, 1.0, spec)
-    return coeff * float(np.real(res.value))
+    value = _checked_value(integrate_finite(integrand, 0.0, 1.0, spec),
+                           "even_to_squared", f"t={t}")
+    return coeff * float(np.real(value))

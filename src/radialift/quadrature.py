@@ -6,7 +6,10 @@ the integrand in one call.  Each interval that misses tolerance then
 bisects its own worst panel (largest embedded-rule error first), and the
 halves of all such panels go to the integrand in one call per round, until
 every interval meets its tolerance or its panel budget.  Given two numbers,
-``integrate_finite`` integrates the one interval between them.
+``integrate_finite`` integrates the one interval between them.  Each
+interval gives one result: its estimate is the exact sum of its panels'
+estimates, and NaN from the integrand is a NaN value and estimate, which
+stops that interval's refinement and never counts as converged.
 
 Half-line integrals of g(t) Jt_nu(omega t), the transform's kernel, are
 split at the kernel's zeros t_k = z_k / omega, so each segment carries one
@@ -54,7 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _as_order, bessel_j_tilde, bessel_zeros, jtilde_at_zero
-from .errors import PoisonedEvaluationError
 
 __all__ = [
     "QuadratureSpec", "QuadratureResult",
@@ -146,8 +148,7 @@ def _kronrod_panels(f, lo, hi, keys):
     f gets the nodes flat and, given ``keys`` (one per panel), one key per
     node.  Without keys a scalar-only f is called node by node; with them f
     is one of this package's vectorized integrands, called once.  Returns
-    the Kronrod values and the embedded-rule error estimates as lists, and
-    the nodes and integrand values as (panels, 15) arrays.
+    the Kronrod values and the embedded-rule error estimates as lists.
     """
     # halves first: lo + hi overflows once both ends pass ~9e307
     mid = 0.5 * lo + 0.5 * hi
@@ -161,13 +162,12 @@ def _kronrod_panels(f, lo, hi, keys):
     gauss = half * np.add.reduce(_WG * y[:, 1::2], axis=1)
     # hypot, not np.abs: numpy's complex abs can differ from it in the last bit
     diff = kron - gauss
-    return kron.tolist(), np.hypot(diff.real, diff.imag).tolist(), nodes, y
+    return kron.tolist(), np.hypot(diff.real, diff.imag).tolist()
 
 
-def _first_nan(nodes, y):
-    """The first node whose value is NaN, or None."""
-    bad = np.isnan(y)
-    return float(nodes[bad][0]) if bad.any() else None
+def _panel_sum(heap):
+    """The estimate of an interval: the exact sum of its panels' estimates."""
+    return math.fsum(entry[4] for entry in heap)
 
 
 def _integrate_intervals(f, lo, hi, spec, keys=None):
@@ -181,24 +181,22 @@ def _integrate_intervals(f, lo, hi, spec, keys=None):
     2-3x slower.  ``keys`` (or None) is one extra integrand argument per
     interval.
 
-    Returns lists (values, errors, panel counts) and a dict that maps each
-    interval whose integrand gave NaN to the first such node; the list
-    entries of such an interval are not meaningful.
+    An interval's value is the running sum of its panels'.  Its estimate
+    runs along as well, but under cancellation that sum drifts, even below
+    zero; where it says the interval meets tolerance, the interval decides
+    on the exact sum of its panels' estimates instead, and every interval
+    that refined reports that sum.  NaN from the integrand makes the value
+    and the estimate NaN, and a NaN estimate compares false, so that
+    interval stops refining at once.
+
+    Returns lists: values, errors and panel counts.
     """
-    values, errors, nodes, y = _kronrod_panels(f, lo, hi, keys)
+    values, errors = _kronrod_panels(f, lo, hi, keys)
     counts = [1] * len(values)
-    poisoned = {}
-    live = []
-    for i, (value, error) in enumerate(zip(values, errors)):
-        if value != value:  # a NaN node makes the Kronrod sum NaN
-            node = _first_nan(nodes[i], y[i])
-            if node is not None:
-                poisoned[i] = node
-                continue
-        if error > spec.tolerance(value) and spec.max_panels > 1:
-            live.append(i)
+    live = [i for i, (value, error) in enumerate(zip(values, errors))
+            if error > spec.tolerance(value) and spec.max_panels > 1]
     if not live:
-        return values, errors, counts, poisoned
+        return values, errors, counts
 
     lo, hi = lo.tolist(), hi.tolist()
     # one heap of panels per interval that refines; the rest allocate nothing
@@ -207,8 +205,11 @@ def _integrate_intervals(f, lo, hi, spec, keys=None):
         todo = []
         for i in live:
             heap = heaps[i]
-            while (errors[i] > spec.tolerance(values[i])
-                   and counts[i] < spec.max_panels):
+            while counts[i] < spec.max_panels:
+                if not errors[i] > spec.tolerance(values[i]):
+                    errors[i] = _panel_sum(heap)
+                    if not errors[i] > spec.tolerance(values[i]):
+                        break
                 _, pa, pb, pval, perr = heapq.heappop(heap)
                 mid = 0.5 * pa + 0.5 * pb
                 if mid <= pa or mid >= pb:  # exhausted at machine precision
@@ -224,15 +225,10 @@ def _integrate_intervals(f, lo, hi, spec, keys=None):
         new_hi = np.array([x for _, _, mid, pb, _, _ in todo for x in (mid, pb)])
         new_keys = None if keys is None \
             else np.repeat(keys[[item[0] for item in todo]], 2)
-        hk, he, nodes, y = _kronrod_panels(f, new_lo, new_hi, new_keys)
+        hk, he = _kronrod_panels(f, new_lo, new_hi, new_keys)
         live = []
         for j, (i, pa, mid, pb, pval, perr) in enumerate(todo):
             lval, rval = hk[2 * j], hk[2 * j + 1]
-            if lval != lval or rval != rval:
-                node = _first_nan(nodes[2 * j:2 * j + 2], y[2 * j:2 * j + 2])
-                if node is not None:
-                    poisoned[i] = node
-                    continue
             lerr, rerr = he[2 * j], he[2 * j + 1]
             values[i] += lval + rval - pval
             errors[i] += lerr + rerr - perr
@@ -240,22 +236,24 @@ def _integrate_intervals(f, lo, hi, spec, keys=None):
             heapq.heappush(heaps[i], (-rerr, mid, pb, rval, rerr))
             counts[i] += 1
             live.append(i)
-    return values, errors, counts, poisoned
+    for i, heap in heaps.items():
+        errors[i] = _panel_sum(heap)
+    return values, errors, counts
 
 
 def integrate_finite(f, a, b, spec=None, keys=None):
     """Adaptive integral of f over [a, b], or over every [a_i, b_i] in lockstep.
 
-    Panels with the largest embedded-rule error are bisected first.  A
+    Panels with the largest embedded-rule error are bisected first, and
+    the estimate is the sum of the final panels' estimates.  A
     non-convergent run (panel budget exhausted) returns the best value with
     ``converged=False``, and so does one whose value or estimate is not
-    finite.  With numbers a < b the result is one
-    QuadratureResult, and NaN from the integrand raises
-    PoisonedEvaluationError.  With 1-d arrays a and b it is a list with one
-    result per interval, None where the integrand gave NaN.  f gets the
-    nodes flat; given ``keys``, one number per interval (a list of one for
-    numbers a and b), f also gets the key of each node's interval as a
-    second flat array.
+    finite: NaN from the integrand gives a NaN value and estimate, with the
+    evaluations spent counted.  With numbers a < b the result is one
+    QuadratureResult; with 1-d arrays a and b it is a list with one result
+    per interval.  f gets the nodes flat; given ``keys``, one number per
+    interval (a list of one for numbers a and b), f also gets the key of
+    each node's interval as a second flat array.
     """
     spec = spec or DEFAULT_SPEC
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -270,14 +268,9 @@ def integrate_finite(f, a, b, spec=None, keys=None):
         keys = np.asarray(keys)
         if keys.shape != lo.shape:
             raise ValueError("need one key per interval")
-    values, errors, counts, poisoned = _integrate_intervals(
-        f, lo, hi, spec, keys)
-    if single:
-        if poisoned:
-            raise PoisonedEvaluationError(poisoned[0])
-        return _result(values[0], errors[0], counts[0], spec)
-    return [None if i in poisoned else _result(v, e, c, spec)
-            for i, (v, e, c) in enumerate(zip(values, errors, counts))]
+    results = [_result(v, e, c, spec)
+               for v, e, c in zip(*_integrate_intervals(f, lo, hi, spec, keys))]
+    return results[0] if single else results
 
 
 def _result(value, error, panels, spec):
@@ -396,7 +389,8 @@ class _HalfLine:
         return done
 
     def _truncate(self, a):
-        """The far-tail rule: an integrand that fails at t = a after three
+        """The far-tail rule, for a piece from t = a whose value is NaN (or,
+        for a segment, infinite): an integrand that fails there after three
         consecutive negligible contributions, head windows and segments
         alike, ends the sum there, with a warning; sooner, it ends the line
         unconverged, with its partial sum and an infinite estimate."""
@@ -417,9 +411,8 @@ class _HalfLine:
         return QuadratureResult(value, error, self.evals, converged)
 
     def add_head(self, a, b, part):
-        """Fold in the head window [a, b], which integrated to ``part`` (None
-        where the integrand gave NaN); a result if the head ends the sum
-        there, else None.
+        """Fold in the head window [a, b], which integrated to ``part``; a
+        result if the head ends the sum there, else None.
 
         Once a window reaches t = 1e8, the head stops after three windows
         in a row, each negligible against the nonzero running total and no
@@ -429,12 +422,12 @@ class _HalfLine:
         a divergent integral's are.  A head with no end also stops at once
         while that total is still exactly 0 (so a profile that lives only
         beyond 1e8 reads 0 there)."""
-        if part is None:
+        self.evals += part.evaluations
+        if cmath.isnan(part.value):
             return self._truncate(a)
         spec = self.spec
         self.partial += complex(part.value)
         self.panel_err += part.error_estimate
-        self.evals += part.evaluations
         size = abs(part.value)
         self.small_streak = self.small_streak + 1 if size <= spec.abs_tol else 0
         negligible = self.partial and size <= min(self.last_seg, max(
@@ -456,14 +449,14 @@ class _HalfLine:
         return None
 
     def add(self, k, a, seg):
-        """Fold in segment k, which starts at t = a and integrated to ``seg``
-        (None where the integrand gave NaN); a result once done, else None."""
+        """Fold in segment k, which starts at t = a and integrated to ``seg``;
+        a result once done, else None."""
         spec = self.spec
-        if seg is None or not cmath.isfinite(seg.value):
+        self.evals += seg.evaluations
+        if not cmath.isfinite(seg.value):
             return self._truncate(a)
         if k == 1:  # seed the epsilon table with the head sum
             self.accel = self.wynn.add(self.partial)
-        self.evals += seg.evaluations
         self.panel_err += seg.error_estimate
         self.partial += complex(seg.value)
         seg_size = abs(seg.value)

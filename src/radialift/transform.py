@@ -25,8 +25,7 @@ import numpy as np
 
 from . import expr as _expr
 from .bessel import Order, _as_order
-from .errors import (ConvergenceError, IntegrabilityError,
-                     PoisonedEvaluationError)
+from .errors import ConvergenceError, IntegrabilityError
 from .quadrature import (QuadratureSpec, _call_integrand, integrate_finite,
                          split_halfline_at_zeros)
 
@@ -194,13 +193,10 @@ def integrability_check(f, n):
     profile = _as_profile(f)
     n = _check_dimension(n)
     probe_spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-13, max_panels=400)
-    try:
-        with np.errstate(all="ignore"):
-            near = integrate_finite(
-                lambda t: np.abs(profile.values(t)) * t ** (n - 1), 0.0, 1.0,
-                probe_spec)
-    except PoisonedEvaluationError:
-        return IntegrabilityReport(False, math.nan)
+    with np.errstate(all="ignore"):
+        near = integrate_finite(
+            lambda t: np.abs(profile.values(t)) * t ** (n - 1), 0.0, 1.0,
+            probe_spec)
     return IntegrabilityReport(near.converged, abs(near.value))
 
 
@@ -282,18 +278,20 @@ def radial_fourier_result(f, n, r, spec=None):
     return radial_fourier_grid(f, n, [float(r)], spec)[0]
 
 
-def _checked_value(res, what, r):
-    """res.value, or ConvergenceError carrying res if it did not converge."""
+def _checked_value(res, what, point):
+    """res.value, or ConvergenceError carrying res if it did not converge;
+    ``point`` names where, as "r=1.0"."""
     if not res.converged:
         raise ConvergenceError(
-            f"{what} quadrature did not converge at r={r} "
+            f"{what} quadrature did not converge at {point} "
             f"(estimate {res.error_estimate:.3g})", res)
     return res.value
 
 
 def radial_fourier(f, n, r, spec=None):
     """Radial Fourier transform value; raises ConvergenceError if not converged."""
-    return _checked_value(radial_fourier_result(f, n, r, spec), "transform", r)
+    return _checked_value(radial_fourier_result(f, n, r, spec), "transform",
+                          f"r={r}")
 
 
 def hankel_result(f, nu, r, spec=None):
@@ -324,7 +322,7 @@ def hankel_result(f, nu, r, spec=None):
 
 def hankel(f, nu, r, spec=None):
     """Hankel transform value; raises ConvergenceError if not converged."""
-    return _checked_value(hankel_result(f, nu, r, spec), "Hankel", r)
+    return _checked_value(hankel_result(f, nu, r, spec), "Hankel", f"r={r}")
 
 
 def hankel_fourier_relation(f, n, r, spec=None):

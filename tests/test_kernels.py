@@ -7,14 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from radialift.errors import BranchError
+from radialift.errors import BranchError, ConvergenceError
 from radialift.kernels import (dalembert, even_to_squared, heat_kernel,
                                heat_profile, kernel_of_multiplier, kirchhoff,
                                projection_kernel, projection_profile,
                                resolvent_kernel, resolvent_profile,
                                sech_transform_profile, sqrt_minus_z)
 from radialift.lift import ChebyshevEngine, lift_once, lift_once_symbolic
-from radialift.quadrature import integrate_halfline_decaying
+from radialift.quadrature import QuadratureSpec, integrate_halfline_decaying
 from radialift.transform import (SampledProfile, profile_from_text,
                                  radial_fourier, sphere_surface)
 
@@ -214,6 +214,15 @@ def test_dalembert_gaussian_with_series_oracle():
     assert abs(value - math.sqrt(math.pi) / 2 * erf1) < 1e-10
 
 
+def test_dalembert_raises_when_its_integral_does_not_converge():
+    # four panels cannot resolve 120 humps of |sin|^0.3: the integral was
+    # returned as 1.29 from a result with converged=False
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_panels=4)
+    with pytest.raises(ConvergenceError, match="t=1.5, x=1.5") as info:
+        dalembert(lambda x: np.abs(np.sin(40 * x)) ** 0.3, 1.5, 1.5, spec)
+    assert not info.value.result.converged
+
+
 def test_kirchhoff_radial_identity():
     phi = lambda p: math.exp(-float(np.dot(p, p)))
     for t in (0.4, 0.7, 1.5):
@@ -274,6 +283,17 @@ def test_even_to_squared_taylor_identity():
         value = even_to_squared("sech(s)", k, 0.0)
         assert abs(value / math.factorial(k)
                    - euler / math.factorial(2 * k)) < 1e-10
+
+
+def test_even_to_squared_raises_when_its_integral_does_not_converge():
+    # g^(3)(9) for f = sech(20 s) is about -6.8e-25, and the integrand's
+    # panels cancel down to it: the value -5.4e-11 was returned, after 56
+    # panels, from an estimate that cancellation had driven below zero.  A
+    # budget of 100 panels keeps the symbolic 6th derivative's cost down
+    with pytest.raises(ConvergenceError, match="t=9.0") as info:
+        even_to_squared("sech(20*s)", 3, 9.0, QuadratureSpec(max_panels=100))
+    res = info.value.result
+    assert not res.converged and res.error_estimate > 0
 
 
 def test_even_to_squared_rejects_odd_input():

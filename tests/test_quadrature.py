@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
 from radialift.bessel import Order
-from radialift.errors import PoisonedEvaluationError, UnsupportedOrderError
+from radialift.errors import UnsupportedOrderError
 from radialift.quadrature import (QuadratureResult, QuadratureSpec,
                                   integrate_finite,
                                   integrate_halfline_decaying,
@@ -72,11 +72,14 @@ def test_infinite_results_are_not_converged():
 
 
 def test_nan_poisoning():
+    # NaN is a value: the first panel's Kronrod sum and estimate are NaN,
+    # and a NaN estimate stops refinement at once
     def bad(s):
         s = np.asarray(s, dtype=float)
         return np.where(s > 0.5, np.nan, s)
-    with pytest.raises(PoisonedEvaluationError):
-        integrate_finite(bad, 0.0, 1.0)
+    res = integrate_finite(bad, 0.0, 1.0)
+    assert math.isnan(res.value) and math.isnan(res.error_estimate)
+    assert not res.converged and res.evaluations == 15
 
 
 def test_panel_budget_reports_nonconvergence():
@@ -107,12 +110,90 @@ def test_finite_arrays_keys_and_nan():
         return np.where(k > 1.5, np.nan, k * s)
 
     res = integrate_finite(f, np.zeros(3), np.ones(3), keys=[1.0, 2.0, 0.5])
-    assert res[1] is None
+    assert math.isnan(res[1].value) and math.isnan(res[1].error_estimate)
+    assert not res[1].converged and res[1].evaluations == 15
     assert abs(res[0].value - 0.5) < 1e-15 and abs(res[2].value - 0.25) < 1e-15
     for a, b in (([0.0, 1.0], [1.0, 1.0]), ([0.0], [1.0, 2.0]),
                  ([[0.0]], [[1.0]])):
         with pytest.raises(ValueError):
             integrate_finite(np.sin, np.array(a), np.array(b))
+
+
+def test_finite_arrays_nan_in_refinement_is_a_result():
+    # s^-0.5 refines towards 0 and meets the NaN below 1e-3 only in its
+    # halves: that interval still returns a result, with its panels counted,
+    # and the others are as their lone runs give them
+    def f(s):
+        return np.where(s < 1e-3, np.nan, s ** -0.5)
+    a, b = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 0.5])
+    with np.errstate(all="ignore"):
+        batch = integrate_finite(f, a, b)
+        lone = [integrate_finite(f, lo, hi) for lo, hi in zip(a, b)]
+    assert all(isinstance(res, QuadratureResult) for res in batch)
+    for res, single in zip(batch, lone):
+        assert res.evaluations == single.evaluations
+        assert res.converged == single.converged
+    for res in (batch[0], batch[2]):
+        assert math.isnan(res.value) and math.isnan(res.error_estimate)
+        assert not res.converged and res.evaluations > 15
+    assert batch[1].converged and batch[1].value == lone[1].value
+
+
+def test_finite_estimate_survives_cancellation():
+    # the integrand of even_to_squared("sech(20*s)", 3, 9.0), (1 - u^2)^2
+    # times the 6th derivative of sech(20 s) at s = 3u, whose integral is
+    # about -4.4e-23: the panels cancel from about 1e8, and a running sum of
+    # their estimates fell below zero and passed any tolerance
+    def f(u):
+        # sech^(6) = sech - 182 sech^3 + 840 sech^5 - 720 sech^7
+        s = 1.0 / np.cosh(60.0 * u)
+        return (1.0 - u ** 2) ** 2 * 20.0 ** 6 * (
+            s - 182.0 * s ** 3 + 840.0 * s ** 5 - 720.0 * s ** 7)
+    res = integrate_finite(f, 0.0, 1.0)
+    assert res.error_estimate > 0 and not res.converged
+    assert res.evaluations == 15 * (2 * QuadratureSpec().max_panels - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(amp=st.floats(0.0, 8.0), freq=st.floats(1.0, 80.0),
+       periods=st.lists(st.integers(1, 10), min_size=1, max_size=3),
+       decay=st.sampled_from((0.0, 0.1, 1.0)),
+       rel_tol=st.sampled_from((1e-6, 1e-10, 1e-14)),
+       max_panels=st.integers(1, 300))
+def test_finite_estimate_is_at_least_its_panels_sum(amp, freq, periods, decay,
+                                                    rel_tol, max_panels):
+    # whole periods of a cosine integrate to about 0, so the panels cancel.
+    # The final panels of every interval are rebuilt from the centres of
+    # the panels f sees: the first call holds one panel per interval, each
+    # later call the two halves of a bisected panel in adjacent rows, and
+    # the panel bisected is the one of that interval whose centre lies
+    # between theirs
+    calls = []
+
+    def f(s, k):
+        calls.append((s[7::15].tolist(), k[::15].tolist()))
+        return 10.0 ** amp * np.cos(freq * s) * np.exp(-decay * s)
+
+    widths = [2.0 * math.pi * p / freq for p in periods]
+    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-15,
+                          max_panels=max_panels)
+    keys = np.arange(len(widths))
+    results = integrate_finite(f, np.zeros(len(widths)), np.array(widths),
+                               spec, keys=keys)
+    leaves = [{0.5 * w: (0.0, w)} for w in widths]
+    for centres, owners in calls[1:]:
+        for j in range(0, len(centres), 2):
+            panels = leaves[owners[j]]
+            parent = [c for c in panels if centres[j] < c < centres[j + 1]]
+            assert len(parent) == 1
+            a, b = panels.pop(parent[0])
+            panels[centres[j]] = (a, parent[0])
+            panels[centres[j + 1]] = (parent[0], b)
+    for i, (res, panels) in enumerate(zip(results, leaves)):
+        lo, hi = (np.array(x) for x in zip(*panels.values()))
+        _, errors = _kronrod_panels(f, lo, hi, np.full(lo.size, i))
+        assert res.error_estimate >= 0
+        assert res.error_estimate >= math.fsum(errors) * (1 - 1e-14)
 
 
 def test_finite_keys_need_one_per_interval():
@@ -190,6 +271,14 @@ def test_halfline_early_failure_ends_the_line_unconverged():
     res = split_halfline_at_zeros(g, Order(0), 1.0)
     assert not res.converged and res.error_estimate == math.inf
     assert res.value == integrate_finite(sp.j0, 0.0, 1.0).value
+
+
+def test_halfline_nan_line_counts_its_last_piece():
+    # the head windows [0, 1] and [1, z_1] run in one round; the second
+    # meets the NaN past t = 2, and its 15 evaluations count too
+    res = split_halfline_at_zeros(
+        lambda t: np.where(t > 2, np.nan, 1.0 + 0 * t), Order(0), 1.0)
+    assert not res.converged and res.evaluations == 30
 
 
 def test_halfline_divergence_flagged():
@@ -346,17 +435,24 @@ def test_kronrod_panels_match_a_per_panel_loop():
     # the per-panel loop that the array sums replaced, as the reference
     lo = np.array([0.0, 1.0, 3.0, 2.5])
     hi = np.array([1.0, 3.0, 7.0, 2.5 + 1e-9])
-    f = lambda t: np.exp((1j - 0.3) * t) / (1.0 + t)
-    kron, err, _, y = _kronrod_panels(f, lo, hi, None)
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return np.exp((1j - 0.3) * t) / (1.0 + t)
+
+    kron, err = _kronrod_panels(f, lo, hi, None)
+    y = f(seen[0]).reshape(lo.size, 15)
     for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
         h = 0.5 * (b - a)
         k = h * complex(np.add.reduce(_WGK * y[i]))
         g = h * complex(np.add.reduce(_WG * y[i, 1::2]))
         assert kron[i] == k and err[i] == abs(k - g)
     # both ends past ~9e307: the midpoint, and so every node, stays finite
-    _, _, nodes, _ = _kronrod_panels(np.zeros_like, np.array([9e307]),
-                                     np.array([1.7e308]), None)
-    assert np.isfinite(nodes).all()
+    seen.clear()
+    _kronrod_panels(lambda t: seen.append(t) or np.zeros_like(t),
+                    np.array([9e307]), np.array([1.7e308]), None)
+    assert np.isfinite(seen[0]).all()
 
 
 def test_halfline_order_is_not_rounded():
