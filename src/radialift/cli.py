@@ -1,7 +1,10 @@
 """Command-line front end: transforms, lifts, kernels, coefficient tables,
 and ``verify``, which runs the rows of the battery in ``checks.py``.
 
-Results go to stdout as CSV (default) or JSON, diagnostics to stderr.
+Each subcommand imports the modules that only it runs (``lift``,
+``kernels``, ``checks``), and only ``--format json`` imports ``json``, so a
+cold ``transform`` loads the direct route alone.  Results go to stdout as CSV
+(default) or JSON, diagnostics to stderr.
 Exit codes: 0 full success, 1 hard error, 2 partial convergence.
 """
 
@@ -10,19 +13,23 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import checks, kernels, lift as _lift, transform as _transform
+from . import transform as _transform
 from .errors import ConvergenceError, EngineError, ZeroFindingError
 from .quadrature import QuadratureSpec
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARTIAL = 2
+
+# ``checks.SUITES``, spelled out so that parsing the arguments does not load
+# the battery
+SUITES = ("bessel", "recursion", "coeffs", "kernels", "transform")
 
 
 @dataclass
@@ -40,6 +47,8 @@ def parse_grid(text):
     if len(parts) not in (3, 4):
         raise ValueError(f"grid must be min:max:count[:spacing], got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("grid bounds must be finite")
     count = int(parts[2])
     spacing = parts[3] if len(parts) == 4 else "linear"
     if count < 1:
@@ -62,9 +71,18 @@ def _spec_from_args(args):
                           max_oscillations=args.max_oscillations)
 
 
+def _json_number(x):
+    # RFC 8259 has no Infinity or NaN: such a float is written as the CSV
+    # writes it, "inf", "-inf" or "nan"
+    return x if not isinstance(x, float) or math.isfinite(x) else repr(x)
+
+
 def _emit(records, fmt, out_path):
     if fmt == "json":
-        text = json.dumps([asdict(rec) for rec in records], indent=2) + "\n"
+        import json  # only this format needs it
+        rows = [{key: _json_number(x) for key, x in asdict(rec).items()}
+                for rec in records]
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -109,12 +127,14 @@ def cmd_transform(args):
 
 
 def cmd_lift(args):
+    from .lift import lift_to_dimension
+
     profile = _transform.profile_from_text(args.profile)
     # a CLI profile is an expression, so the lift is exact
     method = "lift-analytic" if args.to_dim - args.from_dim == 2 else "corollary"
     records = []
     for rho in parse_grid(args.grid).tolist():
-        res = _lift.lift_to_dimension(profile, args.from_dim, args.to_dim, rho)
+        res = lift_to_dimension(profile, args.from_dim, args.to_dim, rho)
         value = complex(res.value)
         records.append(OutputRecord(rho, value.real, value.imag,
                                     res.error_estimate, method))
@@ -123,13 +143,15 @@ def cmd_lift(args):
 
 
 def cmd_kernel(args):
+    from .kernels import heat_profile, projection_profile, resolvent_profile
+
     # argparse lets exactly one family through
     if args.resolvent is not None:
-        profile = kernels.resolvent_profile(args.dim, _parse_complex(args.resolvent))
+        profile = resolvent_profile(args.dim, _parse_complex(args.resolvent))
     elif args.projection is not None:
-        profile = kernels.projection_profile(args.dim, float(args.projection))
+        profile = projection_profile(args.dim, float(args.projection))
     else:
-        profile = kernels.heat_profile(args.dim, float(args.heat))
+        profile = heat_profile(args.dim, float(args.heat))
     records = []
     for r in parse_grid(args.grid).tolist():
         value = profile.evaluate(r)
@@ -139,14 +161,18 @@ def cmd_kernel(args):
 
 
 def cmd_coeffs(args):
+    from .lift import corollary_coefficients
+
     # the coeffs.oracle-equality row of ``verify`` checks the closed form
-    print(str(_lift.corollary_coefficients(args.k)))
+    print(str(corollary_coefficients(args.k)))
     return EXIT_OK
 
 
 def cmd_verify(args):
+    from .checks import CHECKS
+
     ok = True
-    for check in checks.CHECKS:
+    for check in CHECKS:
         if args.suite in ("all", check.suite):
             passed, line = check.run()
             print(line)
@@ -205,7 +231,7 @@ def build_parser():
     p.set_defaults(fn=cmd_coeffs)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=checks.SUITES + ("all",))
+    p.add_argument("suite", choices=SUITES + ("all",))
     p.set_defaults(fn=cmd_verify)
     return parser
 

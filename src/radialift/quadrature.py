@@ -75,11 +75,12 @@ class QuadratureSpec:
     max_oscillations: int = 500
 
     def __post_init__(self):
-        if min(self.rel_tol, self.abs_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN fails each test
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.rel_tol < 1e-15:
             raise ValueError("rel_tol below 1e-15 is not resolvable")
-        if min(self.max_panels, self.max_oscillations) <= 0:
+        if not (self.max_panels > 0 and self.max_oscillations > 0):
             raise ValueError("budget limits must be positive")
 
     def tolerance(self, scale):

@@ -10,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from radialift import quadrature
-from radialift.checks import CHECKS
+from radialift import cli, quadrature
+from radialift.checks import CHECKS, SUITES
 from radialift.cli import (EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main, parse_grid)
 from radialift.errors import ZeroFindingError
 
@@ -88,6 +88,24 @@ def test_transform_divergent_tail_names_each_point(capsys):
     assert len(lines) == 3
     for line, r in zip(lines, ("0.0", "0.5", "1.0")):
         assert line.startswith(f"warning: r={r} not converged (estimate ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("arg", [
+    "--rel-tol=nan", "--abs-tol=nan", "--rel-tol=inf", "--abs-tol=inf",
+    "--grid=0:inf:3", "--grid=inf:inf:1", "--grid=nan:1:3"])
+def test_transform_rejects_non_finite_numbers(capsys, arg):
+    # one error line: no numpy warning, no traceback, no internal name
+    argv = ["transform", "--profile", "exp(-pi*s^2)", "--dim", "3", arg]
+    if arg.startswith("--grid"):
+        message = "grid bounds must be finite"
+    else:
+        argv.append("--grid=2:2:1")
+        message = "tolerances must be positive and finite"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_transform_force_is_gone(capsys):
@@ -273,6 +291,26 @@ def test_json_roundtrip(capsys):
     assert again == records
 
 
+def test_json_is_strict_and_writes_non_finite_numbers_as_the_csv(capsys):
+    # exp(0.1 s) grows: its r = 0 moment has an infinite estimate
+    args = ("transform", "--profile", "exp(0.1*s)", "--dim", "1",
+            "--grid", "0:1:2")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == EXIT_PARTIAL
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+    records = json.loads(out, parse_constant=reject)
+    assert records[0]["error_estimate"] == "inf"
+    _, text, _ = run_cli(capsys, *args)
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert row == {key: x if isinstance(x, str) else repr(x)
+                       for key, x in record.items()}
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = run_cli(capsys, "transform", "--profile", "exp(-pi*s^2)",
@@ -334,6 +372,18 @@ def test_verify_suites(capsys):
     assert out == ""
     assert err.startswith("usage: radialift")
     assert err.count("error:") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_choices_are_the_battery_suites(capsys):
+    assert cli.SUITES == SUITES
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == EXIT_OK
+    assert "{bessel,recursion,coeffs,kernels,transform,all}" in out
+    code, out, err = run_cli(capsys, "verify", "nosuch")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.count("invalid choice") == 1
     assert "Traceback" not in err
 
 

@@ -27,6 +27,12 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=1e-16)
     with pytest.raises(ValueError):
         QuadratureSpec(max_panels=0)
+    # NaN compares false: each must fail a test written as `not x > 0`
+    for bad in ({"rel_tol": math.nan}, {"abs_tol": math.nan},
+                {"rel_tol": math.inf}, {"abs_tol": math.inf},
+                {"max_panels": math.nan}, {"max_oscillations": math.nan}):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
     with pytest.raises(ValueError):
         integrate_finite(np.sin, 1.0, 1.0)
 
