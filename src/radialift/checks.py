@@ -91,14 +91,18 @@ def _zero_residuals():
 def recursion_battery():
     """{(profile text, n, r): (lifted, direct)}: the one-step lift, by
     central differences of step 0.01, of the computed n-dimensional
-    transform, and the direct (n+2)-dimensional one."""
+    transform, read as one grid per lift, and the direct (n+2)-dimensional
+    one.  An unconverged point raises ConvergenceError, as in
+    ``radial_fourier``."""
     engine = _lift.CentralFDEngine(step=0.01)
     out = {}
     for text in ("exp(-pi*s^2)", "exp(-s)"):
         profile = _transform.profile_from_text(text)
         for n in (1, 2, 3):
             inner = _transform.CallableProfile(
-                lambda rho, p=profile, nn=n: _transform.radial_fourier(p, nn, rho))
+                lambda radii, p=profile, nn=n: [
+                    _transform._checked_value(res, "transform", f"r={r}") for r, res
+                    in zip(radii, _transform.radial_fourier_grid(p, nn, radii))])
             for r in (0.25, 0.5, 1.0, 2.0):
                 out[(text, n, r)] = (_lift.lift_once(inner, r, engine).value,
                                      _transform.radial_fourier(profile, n + 2, r))

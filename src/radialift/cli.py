@@ -66,11 +66,6 @@ def parse_grid(text):
     raise ValueError(f"spacing must be linear or log, got {spacing!r}")
 
 
-def _spec_from_args(args):
-    return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                          max_oscillations=args.max_oscillations)
-
-
 def _json_number(x):
     # RFC 8259 has no Infinity or NaN: such a float is written as the CSV
     # writes it, "inf", "-inf" or "nan"
@@ -112,7 +107,8 @@ def _parse_complex(text):
 def cmd_transform(args):
     profile = _transform.profile_from_text(args.profile)
     grid = parse_grid(args.grid).tolist()
-    spec = _spec_from_args(args)
+    spec = QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
+                          max_oscillations=args.max_oscillations)
     results = _transform.radial_fourier_grid(profile, args.dim, grid, spec)
     records = []
     for r, res in zip(grid, results):
@@ -196,14 +192,15 @@ def build_parser():
                        help="min:max:count[:spacing], spacing linear|log")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="write results to FILE instead of stdout")
-        p.add_argument("--rel-tol", type=float, default=1e-10)
-        p.add_argument("--abs-tol", type=float, default=1e-14)
-        p.add_argument("--max-oscillations", type=int, default=500)
 
     p = sub.add_parser("transform", help="direct radial Fourier transform")
     p.add_argument("--profile", required=True, help="profile formula in s")
     p.add_argument("--dim", type=int, required=True)
     add_common(p)
+    p.add_argument("--rel-tol", type=float, default=QuadratureSpec.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=QuadratureSpec.abs_tol)
+    p.add_argument("--max-oscillations", type=int,
+                   default=QuadratureSpec.max_oscillations)
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("lift", help="dimension lift of a base transform")

@@ -217,7 +217,7 @@ def kirchhoff(phi, t, x, spec=None):
     glq, trap = _SPHERE_GLQ_ORDER, _SPHERE_TRAP_ORDER
     coarse = t * spherical_mean(shifted, 3, abs(t), glq, trap)
     fine = t * spherical_mean(shifted, 3, abs(t), 2 * glq, 2 * trap)
-    if abs(fine - coarse) > 100.0 * max(spec.abs_tol, spec.rel_tol * abs(fine)):
+    if abs(fine - coarse) > 100.0 * spec.tolerance(fine):
         raise SphereRuleError(
             f"sphere rule orders ({glq},{trap}) and doubled "
             f"disagree by {abs(fine - coarse):.3g}")

@@ -259,6 +259,30 @@ def test_kernel_needs_exactly_one_family(capsys, families):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", [
+    "--rel-tol=1e-8", "--abs-tol=1e-12", "--max-oscillations=100"])
+@pytest.mark.parametrize("command", [
+    ("lift", "--profile", "sech(pi*s)", "--from", "1", "--to", "3"),
+    ("kernel", "--heat", "0.5", "--dim", "3"),
+], ids=["lift", "kernel"])
+def test_only_transform_takes_tolerances(capsys, command, flag):
+    # neither command integrates, so a tolerance would tune nothing
+    code, out, err = run_cli(capsys, *command, "--grid", "1:1:1", flag)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] \
+        == [f"radialift: error: unrecognized arguments: {flag}"]
+    assert "Traceback" not in err
+
+
+def test_transform_tolerance_defaults_are_the_spec_defaults():
+    args = cli.build_parser().parse_args(
+        ["transform", "--profile", "1", "--dim", "3", "--grid", "1:1:1"])
+    spec = quadrature.QuadratureSpec()
+    assert (args.rel_tol, args.abs_tol, args.max_oscillations) \
+        == (spec.rel_tol, spec.abs_tol, spec.max_oscillations)
+
+
 def test_coeffs_values(capsys):
     for k, expect in ((1, "-1"), (2, "-1, 1"), (3, "-3, 3, -1")):
         code, out, _ = run_cli(capsys, "coeffs", str(k))

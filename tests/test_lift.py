@@ -9,9 +9,10 @@ import pytest
 
 from radialift.errors import EngineError, ParityError
 from radialift.lift import (AnalyticEngine, CentralFDEngine, ChebyshevEngine,
-                            corollary_coefficients, default_engine,
-                            iterate_operator_symbolic, lift_once,
-                            lift_once_symbolic, lift_prediff, lift_to_dimension)
+                            _fornberg_weights, corollary_coefficients,
+                            default_engine, iterate_operator_symbolic,
+                            lift_once, lift_once_symbolic, lift_prediff,
+                            lift_to_dimension)
 from radialift.transform import (CallableProfile, SampledProfile,
                                  profile_from_text, radial_fourier)
 
@@ -257,6 +258,60 @@ def test_higher_order_fd_derivatives():
     assert abs(res.value - math.exp(-math.pi)) < 1e-5
     with pytest.raises(EngineError):
         lift_to_dimension(prof, 1, 13, 1.0, CentralFDEngine())
+
+
+class _Reads:
+    """exp(-pi t^2) for scalar t alone, recording every radius it reads."""
+
+    def __init__(self):
+        self.radii = []
+
+    def __call__(self, t):
+        if np.ndim(t):
+            raise TypeError("scalar radii only")
+        self.radii.append(float(t))
+        return math.exp(-math.pi * t * t)
+
+
+@pytest.mark.parametrize("r, k, nodes", [(1.0, 1, 9), (0.0, 1, 8), (0.0, 2, 9)])
+def test_fd_engine_reads_each_node_once(r, k, nodes):
+    # the stencils at h, h/2 and h/4 share nodes; at r = 0 the even
+    # extension folds each node to |t|, so no negative radius is read
+    reads = _Reads()
+    res = lift_to_dimension(CallableProfile(reads), 1, 1 + 2 * k, r,
+                            CentralFDEngine())
+    assert len(reads.radii) == len(set(reads.radii)) == nodes
+    assert min(reads.radii) >= 0.0
+    assert abs(res.value - math.exp(-math.pi * r * r)) < 1e-5
+
+
+def test_fd_engine_matches_node_by_node_stencils():
+    # each stencil read node by node, with the engine's weights and
+    # Richardson steps: sharing the reads changes no bit
+    prof = CallableProfile(_Reads())
+    for t in (0.0, 0.3, 1.0):
+        values, bounds = CentralFDEngine(step=0.01).derivatives(prof, t, 4)
+        assert values[0] == prof.value(t)
+        for m in range(1, 5):
+            table = []
+            for h in (0.01, 0.005, 0.0025):
+                nodes = t + np.arange(-(m // 2 + 2), m // 2 + 3, dtype=float) * h
+                weights = _fornberg_weights(t, nodes, m)[:, m]
+                table.append(float(np.dot(
+                    weights, [prof.value(abs(node)) for node in nodes])))
+            for level, gain in ((1, 4.0), (2, 16.0)):
+                for j in range(2, level - 1, -1):
+                    table[j] += (table[j] - table[j - 1]) / (gain - 1.0)
+            assert (values[m], bounds[m]) == (table[2], abs(table[2] - table[1]))
+
+
+def test_fd_engine_calls_a_grid_capable_profile_once():
+    shapes = []
+    prof = CallableProfile(
+        lambda t: shapes.append(np.shape(t)) or np.exp(-math.pi * t ** 2))
+    res = lift_once(prof, 1.0, CentralFDEngine())
+    assert shapes == [(9,)]
+    assert abs(res.value - math.exp(-math.pi)) < 1e-8
 
 
 def test_recursion_consistency_battery():

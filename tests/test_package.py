@@ -12,8 +12,8 @@ import pytest
 
 import radialift
 
-# the lift, the kernel catalog and the battery, and the exact rational
-# arithmetic that only the lift's coefficient tables use
+# the lift, the kernel catalog and the battery, and rational arithmetic,
+# which nothing in the package uses: the lift's coefficients are integers
 NOT_ON_THE_DIRECT_ROUTE = {"radialift.lift", "radialift.kernels",
                            "radialift.checks", "fractions"}
 
@@ -67,7 +67,8 @@ def _imported(*argv):
     (("-c", "import radialift"), NOT_ON_THE_DIRECT_ROUTE),
     (("-m", "radialift", "transform", "--profile", "exp(-2*pi*s)", "--dim", "4",
       "--grid", "0:3:16"), NOT_ON_THE_DIRECT_ROUTE | {"json"}),
-], ids=["import", "transform"])
+    (("-m", "radialift", "coeffs", "3"), {"fractions", "decimal"}),
+], ids=["import", "transform", "coeffs"])
 def test_a_cold_process_loads_only_the_direct_route(argv, absent):
     imported = _imported(*argv)
     assert "radialift.transform" in imported
