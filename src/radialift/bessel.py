@@ -8,25 +8,39 @@ strategy, chosen for absolute accuracy <= 1e-12 up to x = 1e4:
   Jt_(-1/2)(x) = sqrt(2/pi) cos x and Jt_(1/2)(x) = sqrt(2/pi) sin x / x on
   the whole half line.  The paper's step n -> n + 2 on the kernel,
   Jt_(nu+1)(x) = -(1/x) d/dx Jt_nu(x), takes the first to the second.
-* x < 1 (the other half-integer orders) and x <= 14 (integer orders): power
-  series of Jt_nu, accumulated in extended precision to beat the
-  cancellation near the upper end of the range.  Below 1 every term is at
-  least 10x smaller than the one before, so the half-integer series picks
-  its length once per call and forms all its terms in one pass; the
-  integer-order series adds a term at a time until the last is negligible.
-* beyond that, one climb from the kernels of dimensions 1 and 2: every
-  order is reached from nu0 = -1/2 (half-integer orders, anchored by the
-  closed forms sqrt(2/(pi x)) cos x and sqrt(2/(pi x)) sin x) or nu0 = 0
-  (integer orders, anchored by Hankel's expansion of J_0 and J_1) by the
-  three-term recurrence, whose step nu -> nu + 1 is the step n -> n + 2 of
-  the dimension recursion F_(n+2) = -(1/(2 pi r)) dF_n/dr.  The climb runs
-  upward where x >= nu and downward Miller-style below that.
+* the other half-integer orders (odd dimensions n >= 5) in two regimes,
+  split at x_s = max(1, min(nu, 2 sqrt(nu + 1))): below it the power series
+  of Jt_nu, in one pass (no term exceeds the first, and the terms' absolute
+  sum is at most 7.6 times the sum's); above it the climb from cos x and
+  sin x by the paper's step, which keeps its digits from x_s on up to
+  2 nu = 15 (within 3.4e-15 relative).  From 2 nu = 17 on, the upward climb
+  loses digits below nu (1.1e-14 at 17, 5.4e-13 at 23, 1e-2 at 49), so
+  those orders keep a third regime: the Miller band on [x_s, nu).
+* integer orders: the power series up to x = 14, adding a term at a time
+  until the last is negligible.  Both series accumulate in extended
+  precision, to beat the cancellation near the upper end of their ranges.
+* beyond the series, one climb from the kernels of dimensions 1 and 2:
+  every order is reached from nu0 = -1/2 (half-integer orders, anchored by
+  cos x and sin x, which are sqrt(pi x / 2) J_(-1/2) and sqrt(pi x / 2)
+  J_(1/2)) or nu0 = 0 (integer orders, anchored by Hankel's expansion of
+  J_0 and J_1) by the three-term recurrence, whose step nu -> nu + 1 is the
+  step n -> n + 2 of the dimension recursion
+  F_(n+2) = -(1/(2 pi r)) dF_n/dr.  The climb runs upward where x >= nu and
+  downward Miller-style below that.  It gives rho J_nu, with
+  rho = sqrt(pi x / 2) for half-integer orders and 1 for integer ones, so
+  ``bessel_j`` takes J_nu from it (the amplitude is sqrt(2/pi)/sqrt(x), and
+  Hankel's sqrt(2/(pi x)) is formed without pi x) and never forms
+  Jt_nu x^nu, which underflows times overflows at large x: J_nu is finite
+  up to the largest float.  Hankel's phase x - nu pi/2 - pi/4 is rounded at
+  the scale of x, so integer orders lose it at very large x: J_1(1e20)
+  reads 6.1e-11 where it is -7.95e-11.  The half-integer anchors keep
+  theirs, since cos x and sin x reduce x exactly.
 
 A call costs at most one regime mask (series or climb), and a climb one more
-(up or down); the closed forms need none.  An array that lies on one side of
-a mask goes to that side whole; only one that straddles it, as the kernel
-arguments of a transform point's first rounds do, is split into copies and
-scattered back.
+(up or down) where it has a Miller band; the closed forms need none.  An
+array that lies on one side of a mask goes to that side whole; only one that
+straddles it, as the kernel arguments of a transform point's first rounds
+do, is split into copies and scattered back.
 
 The series/asymptotic switch sits at 14 because the optimally truncated
 asymptotic series bottoms out near 5e-13 at x = 12; at 14 both branches
@@ -40,6 +54,7 @@ ceiling.  All functions are pure; the zero cache only grows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +65,9 @@ from .errors import BesselDomainError, UnsupportedOrderError, ZeroFindingError
 __all__ = ["Order", "bessel_j", "bessel_j_tilde", "bessel_zeros", "jtilde_at_zero"]
 
 _SERIES_ASYMPTOTIC_SWITCH = 14.0
+# from this half-integer order on, the Miller band keeps the digits that the
+# upward climb from x_s loses below nu
+_MILLER_TWICE_NU = 17
 _MAX_TWICE_NU = 120
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -115,26 +133,41 @@ def _jtilde_series(nu, x):
     return np.asarray(total, dtype=float)
 
 
-def _halfint_series(nu, x):
-    """Jt_nu for a half-integer nu >= 3/2 on an ndarray with 0 <= x < 1.
+@functools.cache
+def _series_seam(nu):
+    """x_s = max(1, min(nu, 2 sqrt(nu + 1))): the half-integer series runs
+    below it and the climb from it.  Up to 2 sqrt(nu + 1) no term of the
+    series exceeds the first, and the terms' absolute sum is at most 7.6
+    times the sum's (at 2 nu = 11; mpmath, every order)."""
+    return max(1.0, min(nu, 2.0 * math.sqrt(nu + 1.0)))
 
-    The series of ``_jtilde_series`` in one pass.  Below 1 each term is at
-    least 10x smaller than the one before, with no cancellation to speak of,
-    so the largest argument, in Python floats, picks the term count for the
-    whole array: its last term is below 1e-22 of the first.  Every term is
-    then one cumulative product over an (arguments x terms) extended
-    precision array, and the sum is rounded once.
-    """
-    if x.size == 0:
-        return np.empty_like(x)
-    x2_max, size, denominators = float(x.max()) ** 2, 1.0, []
+
+@functools.cache
+def _series_denominators(nu):
+    """4 m (m + nu) for m = 1, 2, ... until the term at x_s is below 1e-22
+    of the first; read-only, extended precision."""
+    x2, size, denominators = _series_seam(nu) ** 2, 1.0, []
     while size > 1e-22:
         m = len(denominators) + 1
         denominators.append(4.0 * m * (m + nu))
-        size *= x2_max / denominators[-1]
+        size *= x2 / denominators[-1]
+    out = np.array(denominators, dtype=np.longdouble)
+    out.flags.writeable = False
+    return out
+
+
+def _halfint_series(nu, x):
+    """Jt_nu for a half-integer nu >= 3/2 on an ndarray with 0 <= x < x_s.
+
+    The series of ``_jtilde_series`` in one pass.  Terms shrink with x, so
+    the count that x_s needs serves every argument below it, and a value
+    depends on its own argument alone.  Every term is one cumulative product
+    over an (arguments x terms) extended precision array, and the sum is
+    rounded once.
+    """
     xl = x.astype(np.longdouble)
-    terms = np.cumprod(np.divide.outer(
-        -(xl * xl), np.array(denominators, dtype=np.longdouble)), axis=1)
+    terms = np.cumprod(np.divide.outer(-(xl * xl), _series_denominators(nu)),
+                       axis=1)
     return (jtilde_at_zero(nu) * (1.0 + terms.sum(axis=1))).astype(float)
 
 
@@ -167,13 +200,14 @@ def _j_asymptotic(nu_int, x):
         else:
             p += term if k % 4 == 0 else -term
     chi = x - nu_int * (math.pi / 2.0) - math.pi / 4.0
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+    # sqrt(2/(pi x)) to the bit, with no overflow of pi x up to the largest x
+    amp = np.sqrt(0.5 / ((math.pi / 4.0) * x))
+    return amp * (p * np.cos(chi) - q * np.sin(chi))
 
 
 def _halfint_pair(x):
-    """J_(-1/2) and J_(1/2) on an ndarray, sharing sqrt(2/(pi x))."""
-    amp = np.sqrt(2.0 / (math.pi * x))
-    return amp * np.cos(x), amp * np.sin(x)
+    """sqrt(pi x / 2) J_nu for nu = -1/2 and 1/2 on an ndarray: cos x, sin x."""
+    return np.cos(x), np.sin(x)
 
 
 def _hankel_pair(x):
@@ -200,17 +234,22 @@ def _split(mask, x, inside, outside):
     return out
 
 
-def _j_large(order, x):
-    """J_nu on a nonempty ndarray x in the large-argument regime, nu != +-1/2.
+def _climb(order, x):
+    """rho(x) J_nu on a nonempty ndarray x in the climb regime, nu != +-1/2,
+    with rho = sqrt(pi x / 2) for half-integer orders and 1 for integer ones.
 
-    nu = nu0 + steps climbs from nu0 = -1/2 (half-integer orders, closed
-    forms) or nu0 = 0 (integer orders, Hankel's expansion) by the three-term
-    recurrence J_(m-1) + J_(m+1) = (2 m / x) J_m.  Upward where x >= nu;
-    below that the upward climb loses digits, so the Miller recurrence runs
-    down from a trial start well above nu and is rescaled by the larger of
-    the two true anchors, which keeps the normalization away from their zeros.
-    The x >= nu mask is the call's one mask: an array on one side of it
-    climbs whole, and only one that straddles it is split.
+    nu = nu0 + steps climbs from nu0 = -1/2 (half-integer orders, where
+    rho J_(-1/2) = cos x and rho J_(1/2) = sin x) or nu0 = 0 (integer orders,
+    Hankel's expansion) by the three-term recurrence
+    J_(m-1) + J_(m+1) = (2 m / x) J_m, which a factor rho(x) leaves as it is.
+    Upward where x >= nu.  Below nu the upward climb loses digits as nu
+    grows, so for integer orders and half-integer orders from
+    ``_MILLER_TWICE_NU`` on the Miller recurrence runs down there, from a
+    trial start well above nu, and is rescaled by the larger of the two true
+    anchors, which keeps the normalization away from their zeros.  Lower
+    half-integer orders climb upward from x_s on their whole range.  The
+    x >= nu mask is the call's one mask: an array on one side of it climbs
+    whole, and only one that straddles it is split.
     """
     steps = (order.twice_nu + 1) // 2
     if order.is_half_integer:
@@ -241,6 +280,8 @@ def _j_large(order, x):
         return top * np.where(
             denom != 0, truth / np.where(denom != 0, denom, 1.0), 0.0)
 
+    if order.is_half_integer and order.twice_nu < _MILLER_TWICE_NU:
+        return up(x)
     return _split(x >= order.nu, x, up, down)
 
 
@@ -256,28 +297,43 @@ def _as_order(nu):
     return Order(int(twice))
 
 
-def _jtilde_array(order, x):
-    """Jt_nu on a 1-d ndarray with x >= 0 (NaN passes through).
+def _bessel_array(order, x, tilde):
+    """Jt_nu (tilde) or J_nu on a 1-d ndarray with x >= 0 (NaN passes through).
 
     nu = -1/2 and 1/2 are closed forms on the whole array.  For every other
-    order one mask picks the regime: the series below 1 (half-integer) or up
-    to 14 (integer), the climb beyond.  An array that lies in one regime, as
-    every segment after the first rounds of a transform point does, goes to
-    it whole; only one that straddles the switch is split.  An empty array
-    takes the series, which returns it empty.
+    order one mask picks the regime: the series below x_s (half-integer) or
+    up to 14 (integer), the climb beyond.  An array that lies in one regime,
+    as every segment after the first rounds of a transform point does, goes
+    to it whole; only one that straddles the seam is split.  An empty array
+    takes the series, which returns it empty.  The series gives Jt_nu and
+    the climb rho J_nu; each is scaled to the other form only on its own
+    side, where no factor overflows or underflows before the product does.
     """
     nu = order.nu
-    if order.twice_nu == -1:
-        return _SQRT_2_OVER_PI * np.cos(x)
-    if order.twice_nu == 1:
-        return _SQRT_2_OVER_PI * np.divide(np.sin(x), x, out=np.ones(x.shape),
-                                           where=x != 0)
+    if order.twice_nu in (-1, 1):
+        if order.twice_nu == -1:
+            jt = _SQRT_2_OVER_PI * np.cos(x)
+        else:
+            jt = _SQRT_2_OVER_PI * np.divide(np.sin(x), x, out=np.ones(x.shape),
+                                             where=x != 0)
+        return jt if tilde else jt * x ** nu
     if order.is_half_integer:
-        small, series = x < 1.0, _halfint_series
+        small, series = x < _series_seam(nu), _halfint_series
     else:
         small, series = x <= _SERIES_ASYMPTOTIC_SWITCH, _jtilde_series
-    return _split(small, x, lambda xs: series(nu, xs),
-                  lambda xs: _j_large(order, xs) * xs ** (-nu))
+
+    def below(xs):
+        jt = series(nu, xs)
+        return jt if tilde else jt * xs ** nu
+
+    def beyond(xs):
+        rho_j = _climb(order, xs)
+        if not order.is_half_integer:  # rho = 1
+            return rho_j * xs ** (-nu) if tilde else rho_j
+        return rho_j * (_SQRT_2_OVER_PI * xs ** -(nu + 0.5) if tilde
+                        else _SQRT_2_OVER_PI / np.sqrt(xs))
+
+    return _split(small, x, below, beyond)
 
 
 def bessel_j_tilde(nu, x):
@@ -291,20 +347,25 @@ def bessel_j_tilde(nu, x):
     if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
         if np.count_nonzero(x < 0):
             raise BesselDomainError("bessel_j_tilde requires x >= 0")
-        return _jtilde_array(order, x)
+        return _bessel_array(order, x, True)
     arr = np.asarray(x, dtype=float)
     out = bessel_j_tilde(order, arr.ravel()).reshape(arr.shape)
     return float(out) if np.isscalar(x) else out
 
 
 def bessel_j(nu, x):
-    """Classical J_nu(x); x > 0 or NaN.  Shapes as for ``bessel_j_tilde``."""
+    """Classical J_nu(x); x > 0 or NaN.  Shapes as for ``bessel_j_tilde``.
+
+    Finite up to the largest float.  Integer orders lose the phase of
+    Hankel's expansion at very large x (J_1(1e20) reads 6.1e-11 for
+    -7.95e-11), since x - nu pi/2 - pi/4 is rounded at the scale of x.
+    """
     order = _as_order(nu)
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
     if np.count_nonzero(flat <= 0):
         raise BesselDomainError("bessel_j requires x > 0")
-    out = (_jtilde_array(order, flat) * flat ** order.nu).reshape(arr.shape)
+    out = _bessel_array(order, flat, False).reshape(arr.shape)
     return float(out) if np.isscalar(x) else out
 
 

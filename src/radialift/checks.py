@@ -81,6 +81,29 @@ def _decay_bound():
     return _worst(devs), "sup |Jt_nu(s)| (1+s)^(nu+1/2), 2 nu = 1..6, s in [0, 1e3]"
 
 
+def _three_term():
+    """The paper's step n -> n + 2 on the kernel in three-term form,
+    x^2 Jt_(nu+1) = 2 nu Jt_nu - Jt_(nu-1), relative to the largest of the
+    three terms, at points around every regime seam of the three orders:
+    x = 1, 14, nu and x_s.  The orders can take different regimes at one x,
+    so this checks the regimes against each other."""
+    devs = []
+    for twice_nu in range(1, 119):
+        orders = [bessel.Order(twice_nu + d) for d in (-2, 0, 2)]
+        seams = {1.0, 14.0}
+        seams |= {o.nu for o in orders if o.nu > 0}
+        seams |= {bessel._series_seam(o.nu) for o in orders
+                  if o.is_half_integer and o.twice_nu >= 3}
+        xs = np.outer(sorted(seams), (0.95, 1 - 1e-9, 1.0, 1 + 1e-9, 1.05)).ravel()
+        lo, mid, hi = (bessel.bessel_j_tilde(o, xs) for o in orders)
+        terms = np.array([xs * xs * hi, twice_nu * mid, lo])
+        devs.append(np.max(np.abs(terms[0] - terms[1] + terms[2])
+                           / np.abs(terms).max(axis=0)))
+    return _worst(devs), ("2 nu = 1..118, x at 0.95, 1 - 1e-9, 1, 1 + 1e-9 "
+                          "and 1.05 times each seam 1, 14, nu and x_s of "
+                          "the three orders")
+
+
 def _zero_residuals():
     order = bessel.Order(0)
     devs = [abs(bessel.bessel_j(order, z)) for z in bessel.bessel_zeros(order, 20)]
@@ -176,6 +199,7 @@ CHECKS = (
           functools.partial(_derivative_identity, 20130419, 12, 0.0, 1e-3)),
     Check("bessel", "decay-bound", 10.0, _decay_bound),
     Check("bessel", "zero-residuals", 1e-12, _zero_residuals),
+    Check("bessel", "three-term", 1e-12, _three_term),
     Check("recursion", "lift-vs-direct", 1e-6, _recursion),
     Check("coeffs", "oracle-equality", 0.0, _coeffs_oracle),
     Check("coeffs", "spot-values", 0.0, _coeffs_spots),

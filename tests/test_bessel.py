@@ -44,7 +44,7 @@ def test_half_integer_closed_forms():
 
 
 def _reference_series(nu, x):
-    """The half-integer kernel below 1 as the term-by-term loop it replaced:
+    """The half-integer series as the term-by-term loop it replaced:
     add a term at a time until the last is below 1e-22 of the sum."""
     xl = np.asarray(x, dtype=np.longdouble)
     x2 = xl * xl
@@ -59,16 +59,32 @@ def _reference_series(nu, x):
     return np.asarray(total, dtype=float)
 
 
+def _series_seam(nu):
+    """x_s, below which the half-integer kernel is its series."""
+    return max(1.0, min(nu, 2.0 * math.sqrt(nu + 1.0)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
-def test_one_pass_series_matches_the_loop(values):
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+def test_one_pass_series_matches_the_loop(values, fractions):
     xs = np.array(values + [0.0, np.nextafter(1.0, 0.0)])
     # four roundings of the result, fixed from the dtype beforehand
     bound = 4 * np.finfo(float).eps
+    # on [1, x_s): each side rounds once to double (eps/2 of Jt_nu(0) each),
+    # and sums at most 40 extended precision terms whose absolute sum is at
+    # most 7.6 Jt_nu(0), which adds below 40 * 7.6 * 2^-64 < 0.1 eps
+    seam_bound = 2 * np.finfo(float).eps
     for twice_nu in range(3, 120, 2):
         order = Order(twice_nu)
         err = np.abs(bessel_j_tilde(order, xs) - _reference_series(order.nu, xs))
         assert err.max() <= bound * jtilde_at_zero(order), twice_nu
+        seam = _series_seam(order.nu)
+        upper = 1.0 + (seam - 1.0) * np.array(fractions + [0.0])
+        upper = np.append(upper[upper < seam], np.nextafter(seam, 0.0))
+        err = np.abs(bessel_j_tilde(order, upper)
+                     - _reference_series(order.nu, upper))
+        assert err.max() <= seam_bound * jtilde_at_zero(order), twice_nu
 
 
 def test_fast_path_keeps_nan_and_checks_the_sign():
@@ -143,9 +159,20 @@ def test_whole_array_regimes_match_the_split():
             if part.any():
                 expected[part] = bessel_j_tilde(order, xs[part])
         assert np.array_equal(bessel_j_tilde(order, xs), expected), twice_nu
+        # J_nu splits the same way.  The climb gives it without the power
+        # x^nu, so it meets Jt_nu x^nu to the rounding of the two powers and
+        # the products, fixed beforehand at 8 eps
         positive = xs > 0
-        assert np.array_equal(bessel_j(order, xs[positive]),
-                              expected[positive] * xs[positive] ** nu), twice_nu
+        j_whole = bessel_j(order, xs[positive])
+        j_parts = np.empty_like(j_whole)
+        for part in (switch, ~switch & (xs >= nu), ~switch & (xs < nu)):
+            part = part[positive]
+            if part.any():
+                j_parts[part] = bessel_j(order, xs[positive][part])
+        assert np.array_equal(j_whole, j_parts), twice_nu
+        via_tilde = expected[positive] * xs[positive] ** nu
+        assert np.all(np.abs(j_whole - via_tilde)
+                      <= 8 * np.finfo(float).eps * np.abs(j_whole)), twice_nu
 
 
 def test_empty_arrays_stay_empty():
@@ -153,6 +180,47 @@ def test_empty_arrays_stay_empty():
         for fn in (bessel_j_tilde, bessel_j):
             out = fn(Order(twice_nu), np.array([]))
             assert isinstance(out, np.ndarray) and out.shape == (0,), twice_nu
+
+
+def test_half_integer_regime_seams_against_mpmath():
+    # the series below x_s, the climb from cos x and sin x above it, and the
+    # Miller band between x_s and nu from 2 nu = 17 on: points on both sides
+    # of x = 1, x_s and nu, and 60 points in [10, 200].  The envelope is
+    # |Jt_nu| below nu, where Jt_nu has no zero, and beyond nu at least the
+    # amplitude sqrt(2/pi) x^-(nu+1/2) of the oscillation
+    tail = np.linspace(10.0, 200.0, 60)
+    for twice_nu in range(3, 120, 2):
+        order = Order(twice_nu)
+        nu = order.nu
+        seams = np.array([1.0, _series_seam(nu), nu])
+        near = np.outer(seams, [0.9, 1 - 1e-3, 1 - 1e-9, 1.0, 1 + 1e-9,
+                                1 + 1e-3, 1.1]).ravel()
+        xs = np.concatenate([near, tail])
+        got = bessel_j_tilde(order, xs)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            ref = float(mpmath.besselj(nu, x) * mpmath.mpf(x) ** -nu)
+            envelope = abs(ref)
+            if x >= nu:
+                envelope = max(envelope, math.sqrt(2 / math.pi) * x ** -(nu + 0.5))
+            err = abs(value - ref)
+            assert err <= 2e-15 * jtilde_at_zero(order), (twice_nu, x)
+            assert err <= 1e-14 * envelope, (twice_nu, x)
+
+
+def test_large_arguments_stay_finite():
+    # J_nu comes from the climb, never from Jt_nu x^nu, which underflows
+    # times overflows; the amplitude sqrt(2/pi)/sqrt(x) never forms pi x
+    xs = np.array([1e5, 2e5, 1e9, 1e16, 1e50, 1e154, 1e300, 1.7e308])
+    amplitude = math.sqrt(2 / math.pi) / np.sqrt(xs)
+    for twice_nu in range(-1, 121):
+        order = Order(twice_nu)
+        j = bessel_j(order, xs)
+        assert np.isfinite(j).all() and np.isfinite(bessel_j_tilde(order, xs)).all()
+        assert np.abs(j[:2] - sp.jv(order.nu, xs[:2])).max() <= 1e-12, twice_nu
+        assert (np.abs(j[2:]) <= 1.01 * amplitude[2:]).all(), twice_nu
+    assert bessel_j(Order(41), 1e16) == pytest.approx(
+        float(mpmath.besselj(20.5, mpmath.mpf(1e16))), rel=1e-12)
+    assert bessel_j(Order(3), 1e300) == pytest.approx(4.5909169523e-151, rel=1e-9)
 
 
 def _below_order_points(order):
