@@ -11,6 +11,12 @@ Everything evaluates over the complex numbers; ``sqrt`` and ``log`` use the
 principal branch (argument in (-pi, pi]) and ``sech`` is computed as
 1/cosh.  Trees are immutable, so parsing, evaluation, differentiation and
 simplification are all pure and thread-safe.
+
+One node is not in the grammar: ``BesselJt(order, arg)``, the normalized
+Bessel function Jt_nu(u) = u^(-nu) J_nu(u) of a real argument.  The kernel
+catalog builds it, and its derivative is the paper's index shift
+d/du Jt_nu(u) = -u Jt_(nu+1)(u), so trees that contain it differentiate,
+lift and simplify like any other; the parser never returns it.
 """
 
 from __future__ import annotations
@@ -20,11 +26,12 @@ import re
 
 import numpy as np
 
+from .bessel import Order, bessel_j_tilde
 from .errors import EvaluationDomainError, ExpressionSyntaxError, UnknownIdentifierError
 
 __all__ = [
     "Expression", "Constant", "Variable", "Sum", "Product", "Quotient",
-    "Negate", "IntegerPower", "Power", "Apply", "S",
+    "Negate", "IntegerPower", "Power", "Apply", "BesselJt", "S",
     "parse", "evaluate", "differentiate", "derivatives", "simplify",
     "FUNCTION_NAMES",
 ]
@@ -390,6 +397,43 @@ class Apply(Expression):
         return f"{self.name}({self.arg._text()})"
 
 
+class BesselJt(Expression):
+    """Jt_nu(u) = u^(-nu) J_nu(u) for a bessel ``Order`` nu and a real u.
+
+    Jt_nu is even, so it is evaluated at |u|; a complex u raises
+    EvaluationDomainError.  Its derivative raises nu by one, and so raises
+    UnsupportedOrderError at the order ceiling.
+    """
+
+    __slots__ = ("order", "arg")
+    _PREC = 100
+
+    def __init__(self, order, arg):
+        self.order = order
+        self.arg = arg
+
+    def _children(self):
+        return (self.arg,)
+
+    def _eval(self, s):
+        arg = self.arg._eval(s)
+        bad = np.imag(arg) != 0
+        if np.any(bad):
+            raise EvaluationDomainError(self, _first(s, bad), "complex argument")
+        return bessel_j_tilde(self.order, np.abs(np.real(arg)))
+
+    def diff(self):
+        u = self.arg
+        shifted = BesselJt(Order(self.order.twice_nu + 2), u)
+        return Negate(Product(Product(u.diff(), u), shifted))
+
+    def substitute(self, r):
+        return BesselJt(self.order, self.arg.substitute(r))
+
+    def _text(self):
+        return f"Jt_({self.order})({self.arg._text()})"
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -670,5 +714,8 @@ def _simplify(node):
         if isinstance(arg, Constant):
             return _fold(rebuilt)
         return rebuilt
+
+    if isinstance(node, BesselJt):
+        return BesselJt(node.order, _simplify(node.arg))
 
     return node

@@ -8,11 +8,14 @@ closed forms, indexed by family and dimension:
   n=5: (1 + c r) e^(-c r) / (8 pi^2 r^3),  with c = sqrt(-z), Re c > 0;
   n=7 and 9 are produced by symbolically applying the dimension lift to the
   n=5 (resp. n=7) expression and cached, rather than hand-transcribed.
-* spectral projection onto [0, E], odd n <= 7:
-  n=1: sin(r sqrt(E)) / (pi r),
-  n=3: (sin(r sqrt(E)) - r sqrt(E) cos(r sqrt(E))) / (2 pi^2 r^3),
-  n=5, 7 again by symbolic lifting.
-* heat kernel (4 pi t)^(-n/2) e^(-r^2 / 4t), any n; the cheapest
+* spectral projection onto [0, E], 1 <= n <= 120: one closed form in every
+  dimension, (2 pi)^(-n/2) E^(n/2) Jt_(n/2)(sqrt(E) r), since the paper's
+  step n -> n + 2 acts on Jt_nu as the index shift
+  d/dx Jt_nu(x) = -x Jt_(nu+1)(x).  n=1 reads
+  sin(r sqrt(E)) / (pi r).  The form is finite at r = 0, where it equals
+  E^(n/2) / ((4 pi)^(n/2) Gamma(n/2 + 1)); the ceiling is that of the
+  Bessel order n/2.
+* heat kernel (4 pi t)^(-n/2) e^(-r^2 / 4t), any n >= 1; the cheapest
   high-quality cross-check for the multiplier path.
 * the sech family: sech(pi r) is its own 1-d transform, and odd-dimension
   transforms follow by lifting.
@@ -39,8 +42,10 @@ import math
 import numpy as np
 
 from . import expr as _expr
+from .bessel import Order
 from .errors import BranchError, SphereRuleError
-from .expr import Apply, Constant, IntegerPower, Negate, Product, Quotient, S, Sum
+from .expr import (Apply, BesselJt, Constant, IntegerPower, Negate, Product,
+                   Quotient, S, Sum)
 from .lift import lift_once_symbolic
 from .quadrature import QuadratureSpec, integrate_finite
 from .transform import (AnalyticProfile, _checked_value, radial_fourier,
@@ -54,7 +59,6 @@ __all__ = [
 ]
 
 _RESOLVENT_MAX_DIM = 9
-_PROJECTION_MAX_DIM = 7
 # Kirchhoff's sphere rule: Gauss-Legendre in the colatitude, trapezoid in
 # the longitude; the check reruns it at twice both orders
 _SPHERE_GLQ_ORDER = 24
@@ -90,19 +94,6 @@ def _resolvent_base(n, z):
     raise ValueError(n)
 
 
-def _projection_base(n, energy):
-    root = math.sqrt(energy)
-    arg = Product(Constant(root), S)
-    if n == 1:
-        return Quotient(Apply("sin", arg), Product(Constant(math.pi), S))
-    if n == 3:
-        num = Sum(Apply("sin", arg),
-                  Negate(Product(Product(Constant(root), S), Apply("cos", arg))))
-        return Quotient(num, Product(Constant(2.0 * math.pi ** 2),
-                                     IntegerPower(S, 3)))
-    raise ValueError(n)
-
-
 @functools.cache
 def resolvent_profile(n, z):
     """Expression for the resolvent kernel in odd dimension n <= 9."""
@@ -115,14 +106,14 @@ def resolvent_profile(n, z):
 
 @functools.cache
 def projection_profile(n, energy):
-    """Expression for the spectral projection kernel in odd dimension n <= 7."""
-    if n % 2 == 0 or not 1 <= n <= _PROJECTION_MAX_DIM:
-        raise ValueError(f"projection catalog covers odd n <= {_PROJECTION_MAX_DIM}, got {n}")
+    """Expression for the spectral projection kernel onto [0, E], 1 <= n <= 120:
+    (2 pi)^(-n/2) E^(n/2) Jt_(n/2)(sqrt(E) s)."""
+    if n < 1:
+        raise ValueError(f"projection kernel needs n >= 1, got {n}")
     if energy <= 0:
         raise ValueError("projection energy must be positive")
-    if n <= 3:
-        return _projection_base(n, energy)
-    return lift_once_symbolic(projection_profile(n - 2, energy))
+    jt = BesselJt(Order(n), Product(Constant(math.sqrt(energy)), S))
+    return Product(Constant((energy / (2.0 * math.pi)) ** (n / 2.0)), jt)
 
 
 @functools.cache
@@ -153,22 +144,19 @@ def resolvent_kernel(n, z, r):
     """Kernel of (-Delta - z)^(-1) at radius r, odd n <= 9, z off [0, inf)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    sqrt_minus_z(z)  # branch validation
     return resolvent_profile(n, z).evaluate(r)
 
 
 def projection_kernel(n, energy, r):
-    """Kernel of the spectral projection chi_[0,E](-Delta) at radius r."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    """Kernel of the spectral projection chi_[0,E](-Delta) at radius r >= 0."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
     return projection_profile(n, energy).evaluate(r).real
 
 
 def heat_kernel(n, t, r):
-    """(4 pi t)^(-n/2) exp(-r^2 / 4t)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return (4.0 * math.pi * t) ** (-n / 2.0) * math.exp(-r * r / (4.0 * t))
+    """(4 pi t)^(-n/2) exp(-r^2 / 4t), n >= 1, t > 0."""
+    return heat_profile(n, t).evaluate(r).real
 
 
 # ---------------------------------------------------------------------------

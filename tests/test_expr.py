@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from radialift import expr
+from radialift.bessel import Order, bessel_j_tilde, jtilde_at_zero
 from radialift.errors import (EvaluationDomainError, ExpressionSyntaxError,
-                              UnknownIdentifierError)
+                              UnknownIdentifierError, UnsupportedOrderError)
 
 
 def test_parse_variable_identity():
@@ -167,6 +168,57 @@ def test_power_substitute_simplify_and_complex_constants():
         folded = expr.simplify(expr.parse(text))
         assert str(folded) == printed
         assert expr.parse(printed).evaluate(0.6) == folded.evaluate(0.6)
+
+
+# ---------------------------------------------------------------------------
+# the Bessel node Jt_nu(u), which the kernel catalog builds
+
+def _jt(twice_nu, a):
+    return expr.BesselJt(Order(twice_nu), expr.Product(expr.Constant(a), expr.S))
+
+
+def test_bessel_node_is_even_and_real_only():
+    e = _jt(3, 0.8)
+    xs = np.array([0.0, 0.3, 1.7, 6.5, 40.0])
+    assert e.eval_array(-xs).tolist() == e.eval_array(xs).tolist()
+    assert e.evaluate(-1.7) == e.evaluate(1.7) == bessel_j_tilde(Order(3), 0.8 * 1.7)
+    assert e.evaluate(0.0) == jtilde_at_zero(1.5)
+    with pytest.raises(EvaluationDomainError, match=r"complex argument in Jt_\(3/2\)"):
+        _jt(3, 1j).evaluate(1.0)
+    with pytest.raises(EvaluationDomainError) as err:
+        expr.BesselJt(Order(0), expr.parse("(s-1)*i")).eval_array(
+            np.array([1.0, 2.0, 3.0]))
+    assert err.value.value == 2.0
+
+
+@pytest.mark.parametrize("twice_nu", [-1, 0, 1, 2, 3, 7, 10, 31, 60, 116])
+def test_bessel_node_derivatives_match_mpmath(twice_nu):
+    # d/ds Jt_nu(a s) = -a^2 s Jt_(nu+1)(a s): the paper's index shift.  The
+    # scale a^k Jt_(nu+1)(0) is the size of the k-th derivative at 0
+    a, nu = 0.8, mpmath.mpf(twice_nu) / 2
+    e = _jt(twice_nu, a)
+    reference = lambda x: mpmath.besselj(nu, a * x) / (a * x) ** nu
+    for k, d in enumerate(expr.derivatives(e, 2)[1:], start=1):
+        for x in (0.3, 1.7, 6.5, 40.0):
+            with mpmath.workdps(30):
+                ref = float(mpmath.diff(reference, mpmath.mpf(x), k))
+            scale = a ** k * jtilde_at_zero(twice_nu / 2 + 1)
+            assert abs(d.evaluate(x).real - ref) <= 1e-13 * scale, (k, x)
+
+
+def test_bessel_node_derivative_stops_at_the_order_ceiling():
+    _jt(118, 1.0).diff()
+    with pytest.raises(UnsupportedOrderError):
+        _jt(120, 1.0).diff()
+
+
+def test_bessel_node_substitute_and_simplify():
+    e = expr.BesselJt(Order(2), expr.S).substitute(expr.parse("2*s"))
+    assert str(e) == "Jt_(1)(2.0*s)"
+    assert e.evaluate(0.6) == bessel_j_tilde(Order(2), 1.2)
+    simplified = expr.simplify(expr.BesselJt(Order(2), expr.parse("1*s + 0")))
+    assert isinstance(simplified, expr.BesselJt) and simplified.arg is expr.S
+    assert not e.has_complex_constant() and _jt(1, 1j).has_complex_constant()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from radialift.bessel import jtilde_at_zero
 from radialift.errors import BranchError, ConvergenceError
 from radialift.kernels import (dalembert, even_to_squared, heat_kernel,
                                heat_profile, kernel_of_multiplier, kirchhoff,
@@ -110,29 +111,79 @@ def test_projection_lift_oracle():
 
 
 def test_projection_ladder_random_points():
+    # lift the trigonometric n = 1 kernel written out, not the catalog's Jt
+    # form, whose lift would be the n = 3 entry itself
     rng = np.random.default_rng(4321)
     worst = 0.0
     for _ in range(20):
         energy = float(rng.uniform(0.3, 6.0))
         r = float(rng.uniform(0.1, 5.0))
-        lifted = lift_once_symbolic(projection_profile(1, energy))
+        lifted = lift_once_symbolic(f"sin({math.sqrt(energy)!r}*s)/(pi*s)")
         worst = max(worst, abs(lifted.evaluate(r).real
                                - projection_kernel(3, energy, r)))
     assert worst <= 1e-12
 
 
 def test_projection_generated_dimensions():
-    # generated n=5 kernel agrees with a numeric transform of the multiplier
-    # kernel at small r through the P3 -> P5 lift consistency
+    # the n=5 kernel agrees with the symbolic lift of the n=3 kernel
     p5 = projection_profile(5, 1.0)
     p3 = projection_profile(3, 1.0)
     for r in (0.5, 1.2):
         step = lift_once_symbolic(p3).evaluate(r).real
         assert abs(p5.evaluate(r).real - step) < 1e-13
-    with pytest.raises(ValueError):
-        projection_kernel(9, 1.0, 1.0)
+    for n in (0, 121):
+        with pytest.raises(ValueError):
+            projection_kernel(n, 1.0, 1.0)
     with pytest.raises(ValueError):
         projection_kernel(3, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        projection_kernel(3, 1.0, -1e-3)
+
+
+def _projection_envelope(n, energy, r):
+    """(2 pi)^(-n/2) E^(n/2) min(Jt_(n/2)(0), sqrt(2/pi) x^(-(n+1)/2)), with
+    x = sqrt(E) r: the kernel's size at 0 and its decay bound beyond."""
+    x = math.sqrt(energy) * r
+    jt = min(jtilde_at_zero(n / 2), math.sqrt(2 / math.pi) * x ** (-(n + 1) / 2))
+    return (energy / (2 * math.pi)) ** (n / 2) * jt
+
+
+@pytest.mark.parametrize("n", range(1, 121))
+def test_projection_kernel_near_the_origin(n):
+    # the closed form (2 pi)^(-n/2) E^(n/2) Jt_(n/2)(sqrt(E) r), in mpmath,
+    # from near the origin, where a symbolic lift cancels, to far beyond
+    for energy in (0.3, 4.0):
+        for r in (1e-3, 0.01, 0.5, 1.0, 3.7, 10.0, 100.0):
+            with mpmath.workdps(30):
+                x = mpmath.sqrt(mpmath.mpf(energy)) * mpmath.mpf(r)
+                exact = float((2 * mpmath.pi) ** (-n / 2)
+                              * mpmath.mpf(energy) ** (n / 2)
+                              * mpmath.besselj(n / 2, x) / x ** (n / 2))
+            error = abs(projection_kernel(n, energy, r) - exact)
+            assert error <= 1e-13 * _projection_envelope(n, energy, r), (energy, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 120])
+def test_projection_kernel_at_the_origin(n):
+    # E^(n/2) / ((4 pi)^(n/2) Gamma(n/2 + 1)): the volume of the ball of
+    # radius sqrt(E) over (2 pi)^n
+    for energy in (0.3, 4.0):
+        exact = energy ** (n / 2) / ((4 * math.pi) ** (n / 2) * math.gamma(n / 2 + 1))
+        assert abs(projection_kernel(n, energy, 0.0) - exact) <= 1e-14 * exact
+
+
+def test_lifted_n2_projection_matches_the_closed_form():
+    # lift E Jt_1(sqrt(E) s) / (2 pi) symbolically k = 1..3 steps.  Each
+    # lift's quotient rule cancels terms near 0 (the tree keeps s/s), so k = 3
+    # loses up to 1.5e-2 relative at r = 1e-3: the radii start at 1
+    for energy in (0.3, 4.0):
+        lifted = projection_profile(2, energy)
+        for k in (1, 2, 3):
+            lifted = lift_once_symbolic(lifted)
+            for r in (1.0, 2.5, 3.7, 10.0):
+                error = abs(lifted.evaluate(r).real
+                            - projection_kernel(2 + 2 * k, energy, r))
+                assert error <= 1e-12 * _projection_envelope(2 + 2 * k, energy, r)
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +206,8 @@ def test_sech_generated_dimension_against_transform():
 
 
 # ---------------------------------------------------------------------------
-# lifted catalog entries near the origin: each symbolic lift divides by
-# s^2, so at small r the lifted expression cancels its leading terms
-
-@pytest.mark.xfail(strict=True, reason="the lifted expression cancels at "
-                   "small r: n = 5 is off by 3.2e-6 relative, and n = 7 "
-                   "reads -4.570e-7 for +1.807e-7 (ROADMAP item 11)")
-@pytest.mark.parametrize("n", [5, 7])
-def test_projection_kernel_near_the_origin(n):
-    # the closed form (2 pi)^(-n/2) E^(n/2) Jt_(n/2)(sqrt(E) r), in mpmath
-    with mpmath.workdps(30):
-        energy, r = mpmath.mpf("0.3"), mpmath.mpf("0.01")
-        x = mpmath.sqrt(energy) * r
-        exact = float((2 * mpmath.pi) ** (-n / 2) * energy ** (n / 2)
-                      * mpmath.besselj(n / 2, x) / x ** (n / 2))
-    assert abs(projection_kernel(n, 0.3, 0.01) - exact) <= 1e-9 * abs(exact)
-
+# lifted sech entries near the origin: each symbolic lift divides by s^2,
+# so at small r the lifted expression cancels its leading terms
 
 @pytest.mark.xfail(strict=True, reason="the lifted expression cancels at "
                    "small r: n = 9 reads 74.25 for 80.303 at r = 1e-3, and "
@@ -378,5 +415,8 @@ def test_family_profiles_validate_their_parameters():
 
 
 def test_heat_profile_is_the_heat_kernel():
-    prof = heat_profile(3, 1.0)
-    assert abs(prof.evaluate(1.0).real - heat_kernel(3, 1.0, 1.0)) < 1e-15
+    for n in (1, 2, 3, 7):
+        for t, r in ((0.25, 0.0), (1.0, 1.0), (0.7, 2.3), (3.0, 0.4)):
+            closed = (4 * math.pi * t) ** (-n / 2) * math.exp(-r * r / (4 * t))
+            value = heat_profile(n, t).evaluate(r).real
+            assert abs(value - closed) <= 1e-15 * closed, (n, t, r)
