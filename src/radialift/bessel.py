@@ -308,7 +308,16 @@ def _bessel_array(order, x, tilde):
     takes the series, which returns it empty.  The series gives Jt_nu and
     the climb rho J_nu; each is scaled to the other form only on its own
     side, where no factor overflows or underflows before the product does.
+    At x = inf, J_nu and Jt_nu (nu > -1/2) are their limit 0; Jt_(-1/2),
+    sqrt(2/pi) cos x, has none and raises BesselDomainError.
     """
+    at_inf = x == np.inf
+    if np.count_nonzero(at_inf):
+        if tilde and order.twice_nu == -1:
+            raise BesselDomainError(
+                "Jt_(-1/2)(x) = sqrt(2/pi) cos x has no limit at x = inf")
+        return _split(at_inf, x, np.zeros_like,
+                      lambda xs: _bessel_array(order, xs, tilde))
     nu = order.nu
     if order.twice_nu in (-1, 1):
         if order.twice_nu == -1:
@@ -337,7 +346,8 @@ def _bessel_array(order, x, tilde):
 
 
 def bessel_j_tilde(nu, x):
-    """Jt_nu(x) = x^(-nu) J_nu(x), continuous at 0; x >= 0 or NaN.
+    """Jt_nu(x) = x^(-nu) J_nu(x), continuous at 0; x >= 0 or NaN.  At
+    x = inf it is 0 for nu > -1/2 and raises BesselDomainError at nu = -1/2.
 
     A scalar gives a float and an array an array of its shape.  A 1-d float
     array, as every kernel call of a transform passes, goes to the kernel
@@ -354,7 +364,8 @@ def bessel_j_tilde(nu, x):
 
 
 def bessel_j(nu, x):
-    """Classical J_nu(x); x > 0 or NaN.  Shapes as for ``bessel_j_tilde``.
+    """Classical J_nu(x); x > 0 or NaN, with J_nu(inf) = 0.  Shapes as for
+    ``bessel_j_tilde``.
 
     Finite up to the largest float.  Integer orders lose the phase of
     Hankel's expansion at very large x (J_1(1e20) reads 6.1e-11 for

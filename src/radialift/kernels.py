@@ -3,11 +3,14 @@
 The catalog carries the kernels of functions of the Laplacian that have
 closed forms, indexed by family and dimension:
 
-* resolvent of -Delta at z (off the nonnegative real axis), odd n <= 9:
-  n=1: e^(-c r) / (2 c),  n=3: e^(-c r) / (4 pi r),
-  n=5: (1 + c r) e^(-c r) / (8 pi^2 r^3),  with c = sqrt(-z), Re c > 0;
-  n=7 and 9 are produced by symbolically applying the dimension lift to the
-  n=5 (resp. n=7) expression and cached, rather than hand-transcribed.
+* resolvent of -Delta at z (off the nonnegative real axis), odd
+  1 <= n <= 121, c = sqrt(-z), Re c > 0: n=1 is F_1 = e^(-c r) / (2c), and
+  the paper's k-step corollary F_(1+2k) = (2 pi)^(-k) sum_l c_(k,l)
+  r^(l-2k) D^l F_1 closes on it exactly, since D^l e^(-c s) = (-c)^l e^(-c s):
+  F_n = e^(-c r) sum_(l=1..k) c_(k,l) (-c)^l r^(l-2k) / (2c (2 pi)^k),
+  k = (n-1)/2, with the table of ``lift.corollary_coefficients``.  This is
+  (2 pi)^(-n/2) (c/r)^(n/2-1) K_(n/2-1)(c r), singular at r = 0 from n = 3
+  on; the ceiling is that of the Bessel order n/2 - 1.
 * spectral projection onto [0, E], 1 <= n <= 120: one closed form in every
   dimension, (2 pi)^(-n/2) E^(n/2) Jt_(n/2)(sqrt(E) r), since the paper's
   step n -> n + 2 acts on Jt_nu as the index shift
@@ -18,7 +21,7 @@ closed forms, indexed by family and dimension:
 * heat kernel (4 pi t)^(-n/2) e^(-r^2 / 4t), any n >= 1; the cheapest
   high-quality cross-check for the multiplier path.
 * the sech family: sech(pi r) is its own 1-d transform, and odd-dimension
-  transforms follow by lifting.
+  transforms follow by symbolic lifts, the one family without a closed form.
 
 Each family has one function that returns its kernel as an expression in
 s and validates its own parameters: ``resolvent_profile(n, z)``,
@@ -46,7 +49,7 @@ from .bessel import Order
 from .errors import BranchError, SphereRuleError
 from .expr import (Apply, BesselJt, Constant, IntegerPower, Negate, Product,
                    Quotient, S, Sum)
-from .lift import lift_once_symbolic
+from .lift import corollary_coefficients, lift_once_symbolic
 from .quadrature import QuadratureSpec, integrate_finite
 from .transform import (AnalyticProfile, _checked_value, radial_fourier,
                         spherical_mean)
@@ -58,7 +61,6 @@ __all__ = [
     "even_to_squared",
 ]
 
-_RESOLVENT_MAX_DIM = 9
 # Kirchhoff's sphere rule: Gauss-Legendre in the colatitude, trapezoid in
 # the longitude; the check reruns it at twice both orders
 _SPHERE_GLQ_ORDER = 24
@@ -74,42 +76,34 @@ def sqrt_minus_z(z):
 
 
 # ---------------------------------------------------------------------------
-# closed-form expressions and their lifted extensions
-
-def _exp_decay(c):
-    """exp(-c s) as an expression, c a (complex) constant."""
-    return Apply("exp", Negate(Product(Constant(c), S)))
-
-
-def _resolvent_base(n, z):
-    c = sqrt_minus_z(z)
-    if n == 1:
-        return Product(Constant(1.0 / (2.0 * c)), _exp_decay(c))
-    if n == 3:
-        return Quotient(_exp_decay(c), Product(Constant(4.0 * math.pi), S))
-    if n == 5:
-        num = Product(Sum(Constant(1.0), Product(Constant(c), S)), _exp_decay(c))
-        return Quotient(num, Product(Constant(8.0 * math.pi ** 2),
-                                     IntegerPower(S, 3)))
-    raise ValueError(n)
-
+# closed-form expressions
 
 @functools.cache
 def resolvent_profile(n, z):
-    """Expression for the resolvent kernel in odd dimension n <= 9."""
-    if n % 2 == 0 or not 1 <= n <= _RESOLVENT_MAX_DIM:
-        raise ValueError(f"resolvent catalog covers odd n <= {_RESOLVENT_MAX_DIM}, got {n}")
-    if n <= 5:
-        return _resolvent_base(n, z)
-    return lift_once_symbolic(resolvent_profile(n - 2, z))
+    """Expression for the resolvent kernel in odd dimension 1 <= n <= 121:
+    exp(-c s) / (2c) at n = 1, else exp(-c s) sum_l a_l s^(l-2k)."""
+    if n % 2 == 0 or not 1 <= n <= 121:
+        raise ValueError(f"resolvent kernel covers odd dimensions 1 <= n <= 121, got n = {n}")
+    c = sqrt_minus_z(z)
+    decay = Apply("exp", Product(Constant(-c), S))
+    if n == 1:
+        return Product(Constant(1.0 / (2.0 * c)), decay)
+    k = (n - 1) // 2
+    # a_l = c_(k,l) (-c)^l / (2c (2 pi)^k) = -c_(k,l) (-c)^(l-1) / (2 (2 pi)^k),
+    # folded into one constant per term
+    scale = 2.0 * (2.0 * math.pi) ** k
+    terms = [Product(Constant(-coeff / scale * (-c) ** (ell - 1)),
+                     IntegerPower(S, ell - 2 * k))
+             for ell, coeff in corollary_coefficients(k)]
+    return Product(functools.reduce(Sum, terms), decay)
 
 
 @functools.cache
 def projection_profile(n, energy):
     """Expression for the spectral projection kernel onto [0, E], 1 <= n <= 120:
     (2 pi)^(-n/2) E^(n/2) Jt_(n/2)(sqrt(E) s)."""
-    if n < 1:
-        raise ValueError(f"projection kernel needs n >= 1, got {n}")
+    if not 1 <= n <= 120:
+        raise ValueError(f"projection kernel covers dimensions 1 <= n <= 120, got n = {n}")
     if energy <= 0:
         raise ValueError("projection energy must be positive")
     jt = BesselJt(Order(n), Product(Constant(math.sqrt(energy)), S))
@@ -141,9 +135,9 @@ def heat_profile(n, t):
 
 
 def resolvent_kernel(n, z, r):
-    """Kernel of (-Delta - z)^(-1) at radius r, odd n <= 9, z off [0, inf)."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    """Kernel of (-Delta - z)^(-1) at radius r >= 0, odd n <= 121, z off [0, inf)."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
     return resolvent_profile(n, z).evaluate(r)
 
 

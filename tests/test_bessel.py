@@ -223,6 +223,28 @@ def test_large_arguments_stay_finite():
     assert bessel_j(Order(3), 1e300) == pytest.approx(4.5909169523e-151, rel=1e-9)
 
 
+@pytest.mark.parametrize("nu", [-0.5, 0, 0.5, 1, 1.5, 8.5, 60])
+def test_infinite_argument_is_the_limit(nu):
+    # J_nu and, above nu = -1/2, Jt_nu tend to 0; Jt_(-1/2) = sqrt(2/pi) cos x
+    # has no limit.  NaN passes through, and finite arguments keep their values
+    xs = np.array([1.0, math.inf, math.nan, 20.0, math.inf])
+    finite = xs[[0, 3]]
+    j = bessel_j(nu, xs)
+    assert bessel_j(nu, math.inf) == 0.0
+    assert j[1] == j[4] == 0.0 and math.isnan(j[2])
+    assert j[[0, 3]].tolist() == bessel_j(nu, finite).tolist()
+    if nu == -0.5:
+        for x in (math.inf, xs):
+            with pytest.raises(BesselDomainError, match="no limit at x = inf"):
+                bessel_j_tilde(nu, x)
+        return
+    jt = bessel_j_tilde(nu, xs)
+    assert bessel_j_tilde(nu, math.inf) == 0.0
+    assert jt[1] == jt[4] == 0.0 and math.isnan(jt[2])
+    assert jt[[0, 3]].tolist() == bessel_j_tilde(nu, finite).tolist()
+    assert bessel_j_tilde(nu, np.full((2, 2), math.inf)).tolist() == [[0.0, 0.0]] * 2
+
+
 def _below_order_points(order):
     """x < nu inside the recurrence regime, where J_nu is far below 1e-12
     at high orders, plus the zeros there of the two anchors, where the

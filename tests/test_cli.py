@@ -218,6 +218,25 @@ def test_kernel_resolvent_g5(capsys):
     assert row["method"] == "catalog"
 
 
+@pytest.mark.parametrize("family, dim, grid, text", [
+    ("--projection=1", "121", "1:1:1",
+     "error: projection kernel covers dimensions 1 <= n <= 120, got n = 121"),
+    ("--resolvent=-1", "4", "1:1:1",
+     "error: resolvent kernel covers odd dimensions 1 <= n <= 121, got n = 4"),
+    ("--resolvent=-1", "123", "1:1:1",
+     "error: resolvent kernel covers odd dimensions 1 <= n <= 121, got n = 123"),
+    ("--resolvent=-1", "3", "0:1:2",
+     "error: zero base with negative power in s^-1 at s=0j"),
+])
+def test_kernel_out_of_range_is_one_error_line(capsys, family, dim, grid, text):
+    # a dimension past a family's ceiling is named; so is the origin, where
+    # the resolvent kernel is singular from n = 3 on
+    code, out, err = run_cli(capsys, "kernel", family, "--dim", dim, "--grid", grid)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.splitlines() == [text]
+
+
 def test_kernel_projection_p3(capsys):
     code, out, _ = run_cli(capsys, "kernel", "--projection", "1", "--dim", "3",
                            "--grid", "3.14159:3.14159:1")

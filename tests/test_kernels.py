@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import warnings
 
 import mpmath
@@ -57,9 +58,11 @@ def test_resolvent_imaginary_residue_for_real_z():
 
 
 def test_resolvent_ladder_random_points():
+    # the n = 1 entry lifted symbolically, step by step, is the oracle of
+    # the closed form: absolutely at n = 3 and 5, relatively at n = 7 and 9
     rng = np.random.default_rng(1234)
     zs = (-1.0 + 0j, -2.0 + 1j, -0.5 - 3j)
-    worst = 0.0
+    worst = worst_rel = 0.0
     for _ in range(20):
         z = zs[rng.integers(0, len(zs))]
         r = float(rng.uniform(0.1, 5.0))
@@ -67,7 +70,13 @@ def test_resolvent_ladder_random_points():
         worst = max(worst, abs(g3.evaluate(r) - resolvent_kernel(3, z, r)))
         g5 = lift_once_symbolic(g3)
         worst = max(worst, abs(g5.evaluate(r) - resolvent_kernel(5, z, r)))
+        g7 = lift_once_symbolic(g5)
+        g9 = lift_once_symbolic(g7)
+        for n, lifted in ((7, g7), (9, g9)):
+            closed = resolvent_kernel(n, z, r)
+            worst_rel = max(worst_rel, abs(lifted.evaluate(r) - closed) / abs(closed))
     assert worst <= 1e-12
+    assert worst_rel <= 1e-13
 
 
 def test_resolvent_generated_dimension_against_numeric_lift():
@@ -84,10 +93,37 @@ def test_resolvent_generated_dimension_against_numeric_lift():
 
 
 def test_resolvent_dimension_validation():
-    with pytest.raises(ValueError):
-        resolvent_kernel(2, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        resolvent_kernel(11, -1.0, 1.0)
+    for n in (4, 123):
+        with pytest.raises(ValueError, match=rf"odd dimensions 1 <= n <= 121, got n = {n}$"):
+            resolvent_kernel(n, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 122, 2))
+def test_resolvent_kernel_against_bessel_k(n):
+    # (2 pi)^(-n/2) (c/r)^(n/2-1) K_(n/2-1)(c r) in mpmath, wherever it is a
+    # finite normal float
+    checked = 0
+    for z in (-1.0, -2 + 1j, -0.5 - 3j, -100 + 0.1j):
+        for r in (1e-3, 0.01, 0.5, 1.0, 3.0, 10.0):
+            with mpmath.workdps(30):
+                c = mpmath.sqrt(-mpmath.mpc(z))
+                nu = mpmath.mpf(n) / 2 - 1
+                exact = complex((2 * mpmath.pi) ** (-mpmath.mpf(n) / 2)
+                                * (c / r) ** nu * mpmath.besselk(nu, c * r))
+            if not (cmath.isfinite(exact) and abs(exact) >= sys.float_info.min):
+                continue
+            error = abs(resolvent_kernel(n, z, r) - exact)
+            assert error <= 1e-13 * abs(exact), (z, r)
+            checked += 1
+    assert checked >= 20
+
+
+def test_resolvent_at_the_origin():
+    # 1 / (2c) at n = 1; from n = 3 on the kernel is singular there
+    for z in (-1.0, -2 + 1j):
+        assert resolvent_kernel(1, z, 0.0) == 1 / (2 * sqrt_minus_z(z))
+    with pytest.raises(ValueError, match="zero base"):
+        resolvent_kernel(3, -1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +168,7 @@ def test_projection_generated_dimensions():
         step = lift_once_symbolic(p3).evaluate(r).real
         assert abs(p5.evaluate(r).real - step) < 1e-13
     for n in (0, 121):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"dimensions 1 <= n <= 120, got n = {n}$"):
             projection_kernel(n, 1.0, 1.0)
     with pytest.raises(ValueError):
         projection_kernel(3, -1.0, 1.0)
