@@ -182,6 +182,21 @@ def _projection_ladder():
                           "of E in [0.3, 6] and r in [0.1, 5], seed 44")
 
 
+def _sech_ladder():
+    # relative: near r = 0.2 the n = 15 entry is about 1e4, and both forms
+    # cancel there (absolute deviations reach 1e-8)
+    rng = np.random.default_rng(55)
+    devs = []
+    for n in range(1, 14, 2):
+        lifted = _lift.lift_once_symbolic(kernels.sech_transform_profile(n))
+        entry = kernels.sech_transform_profile(n + 2)
+        for r in rng.uniform(0.2, 5.0, 3):
+            value = entry.evaluate(r)
+            devs.append(abs(lifted.evaluate(r) - value) / abs(value))
+    return _worst(devs), ("odd n = 1..13 lifted once to n + 2, 3 draws of r "
+                          "in [0.2, 5] each, seed 55, relative to the n + 2 entry")
+
+
 def _gaussian_fixed_point():
     gauss = _transform.profile_from_text("exp(-pi*s^2)")
     devs = [abs(_transform.radial_fourier(gauss, n, r) - math.exp(-math.pi * r * r))
@@ -208,6 +223,7 @@ CHECKS = (
     Check("coeffs", "spot-values", 0.0, _coeffs_spots),
     Check("kernels", "resolvent-ladder", 1e-12, _resolvent_ladder),
     Check("kernels", "projection-ladder", 1e-12, _projection_ladder),
+    Check("kernels", "sech-ladder", 1e-12, _sech_ladder),
     Check("transform", "gaussian-fixed-point", 1e-8, _gaussian_fixed_point),
     Check("transform", "hankel-relation", 1e-9, _hankel_relation),
 )

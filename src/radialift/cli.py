@@ -94,7 +94,10 @@ def _emit(records, fmt, out_path):
 
 
 def _parse_complex(text):
-    text = text.strip().replace("i", "j")
+    text = text.strip()
+    # only a trailing i is the imaginary unit: "inf" keeps its i
+    if text.endswith("i"):
+        text = text[:-1] + "j"
     try:
         return complex(text)
     except ValueError:

@@ -54,9 +54,13 @@ class Expression:
     # -- public API ---------------------------------------------------------
 
     def evaluate(self, s):
-        """Value at one complex (or real) point, with domain checking."""
+        """Value at one complex (or real) point, with domain checking.  Python's
+        complex ``**`` raises OverflowError, which is raised again naming s."""
         with np.errstate(all="ignore"):
-            out = self._eval(complex(s))
+            try:
+                out = self._eval(complex(s))
+            except OverflowError as exc:
+                raise OverflowError(f"evaluation overflows at s = {s} ({exc})") from exc
         return complex(out)
 
     def eval_array(self, s):

@@ -3,14 +3,12 @@
 The catalog carries the kernels of functions of the Laplacian that have
 closed forms, indexed by family and dimension:
 
-* resolvent of -Delta at z (off the nonnegative real axis), odd
-  1 <= n <= 121, c = sqrt(-z), Re c > 0: n=1 is F_1 = e^(-c r) / (2c), and
-  the paper's k-step corollary F_(1+2k) = (2 pi)^(-k) sum_l c_(k,l)
-  r^(l-2k) D^l F_1 closes on it exactly, since D^l e^(-c s) = (-c)^l e^(-c s):
-  F_n = e^(-c r) sum_(l=1..k) c_(k,l) (-c)^l r^(l-2k) / (2c (2 pi)^k),
-  k = (n-1)/2, with the table of ``lift.corollary_coefficients``.  This is
-  (2 pi)^(-n/2) (c/r)^(n/2-1) K_(n/2-1)(c r), singular at r = 0 from n = 3
-  on; the ceiling is that of the Bessel order n/2 - 1.
+* resolvent of -Delta at z (off the nonnegative real axis, finite), odd
+  1 <= n <= 121, c = sqrt(-z), Re c > 0: the paper's k-step corollary
+  F_(1+2k) = (2 pi)^(-k) sum_l c_(k,l) r^(l-2k) D^l F_1, k = (n-1)/2, with
+  the table of ``lift.corollary_coefficients``, on F_1 = e^(-c r) / (2c).
+  This is (2 pi)^(-n/2) (c/r)^(n/2-1) K_(n/2-1)(c r), singular at r = 0
+  from n = 3 on; the ceiling is that of the Bessel order n/2 - 1.
 * spectral projection onto [0, E], 1 <= n <= 120: one closed form in every
   dimension, (2 pi)^(-n/2) E^(n/2) Jt_(n/2)(sqrt(E) r), since the paper's
   step n -> n + 2 acts on Jt_nu as the index shift
@@ -20,8 +18,11 @@ closed forms, indexed by family and dimension:
   Bessel order n/2.
 * heat kernel (4 pi t)^(-n/2) e^(-r^2 / 4t), any n >= 1; the cheapest
   high-quality cross-check for the multiplier path.
-* the sech family: sech(pi r) is its own 1-d transform, and odd-dimension
-  transforms follow by symbolic lifts, the one family without a closed form.
+* the sech family, odd 1 <= n <= 15: sech(pi r) is its own 1-d transform,
+  and the same corollary on it gives the rest, one sum over the symbolic
+  derivatives D^l sech(pi r).  Each D^l is a polynomial in sech and tanh,
+  so the tree grows with n, which sets the ceiling: at n = 15 it has
+  about 344,000 characters.
 
 Each family has one function that returns its kernel as an expression in
 s and validates its own parameters: ``resolvent_profile(n, z)``,
@@ -49,7 +50,7 @@ from .bessel import Order
 from .errors import BranchError, SphereRuleError
 from .expr import (Apply, BesselJt, Constant, IntegerPower, Negate, Product,
                    Quotient, S, Sum)
-from .lift import corollary_coefficients, lift_once_symbolic
+from .lift import corollary_coefficients
 from .quadrature import QuadratureSpec, integrate_finite
 from .transform import (AnalyticProfile, _checked_value, radial_fourier,
                         spherical_mean)
@@ -68,8 +69,10 @@ _SPHERE_TRAP_ORDER = 48
 
 
 def sqrt_minus_z(z):
-    """Principal sqrt(-z), positive real part for z off [0, inf)."""
+    """Principal sqrt(-z), positive real part for finite z off [0, inf)."""
     z = complex(z)
+    if not cmath.isfinite(z):  # NaN fails it too
+        raise ValueError(f"resolvent z must be finite, got z = {z}")
     if z.imag == 0.0 and z.real >= 0.0:
         raise BranchError(f"z={z} lies on the nonnegative real axis")
     return cmath.sqrt(-z)
@@ -78,24 +81,28 @@ def sqrt_minus_z(z):
 # ---------------------------------------------------------------------------
 # closed-form expressions
 
+def _corollary(base, n):
+    """The paper's k-step corollary on a 1-d transform, k = (n-1)/2:
+    (2 pi)^(-k) sum_l c_(k,l) s^(l-2k) D^l base, simplified; base at n = 1."""
+    k = (n - 1) // 2
+    if k == 0:
+        return base
+    ds = _expr.derivatives(base, k)
+    terms = [Product(Constant(coeff * (2.0 * math.pi) ** -k),
+                     Product(IntegerPower(S, ell - 2 * k), ds[ell]))
+             for ell, coeff in corollary_coefficients(k)]
+    return _expr.simplify(functools.reduce(Sum, terms))
+
+
 @functools.cache
 def resolvent_profile(n, z):
     """Expression for the resolvent kernel in odd dimension 1 <= n <= 121:
-    exp(-c s) / (2c) at n = 1, else exp(-c s) sum_l a_l s^(l-2k)."""
+    the corollary on exp(-c s) / (2c)."""
     if n % 2 == 0 or not 1 <= n <= 121:
         raise ValueError(f"resolvent kernel covers odd dimensions 1 <= n <= 121, got n = {n}")
     c = sqrt_minus_z(z)
-    decay = Apply("exp", Product(Constant(-c), S))
-    if n == 1:
-        return Product(Constant(1.0 / (2.0 * c)), decay)
-    k = (n - 1) // 2
-    # a_l = c_(k,l) (-c)^l / (2c (2 pi)^k) = -c_(k,l) (-c)^(l-1) / (2 (2 pi)^k),
-    # folded into one constant per term
-    scale = 2.0 * (2.0 * math.pi) ** k
-    terms = [Product(Constant(-coeff / scale * (-c) ** (ell - 1)),
-                     IntegerPower(S, ell - 2 * k))
-             for ell, coeff in corollary_coefficients(k)]
-    return Product(functools.reduce(Sum, terms), decay)
+    return _corollary(Product(Constant(1.0 / (2.0 * c)),
+                              Apply("exp", Product(Constant(-c), S))), n)
 
 
 @functools.cache
@@ -104,30 +111,26 @@ def projection_profile(n, energy):
     (2 pi)^(-n/2) E^(n/2) Jt_(n/2)(sqrt(E) s)."""
     if not 1 <= n <= 120:
         raise ValueError(f"projection kernel covers dimensions 1 <= n <= 120, got n = {n}")
-    if energy <= 0:
-        raise ValueError("projection energy must be positive")
+    if not 0 < energy < math.inf:  # written so that NaN fails it
+        raise ValueError(f"projection energy E must be positive and finite, got E = {energy}")
     jt = BesselJt(Order(n), Product(Constant(math.sqrt(energy)), S))
     return Product(Constant((energy / (2.0 * math.pi)) ** (n / 2.0)), jt)
 
 
 @functools.cache
 def sech_transform_profile(n):
-    """Transform of sech(pi |x|) in odd dimension n (generated above n=3)."""
-    if n % 2 == 0 or n < 1:
-        raise ValueError("sech transforms are cataloged for odd n")
-    if n == 1:
-        return _expr.parse("sech(pi*s)")
-    if n == 3:
-        return _expr.parse("sech(pi*s)*tanh(pi*s)/(2*s)")
-    return lift_once_symbolic(sech_transform_profile(n - 2))
+    """Transform of sech(pi |x|) in odd dimension 1 <= n <= 15, by the corollary."""
+    if n % 2 == 0 or not 1 <= n <= 15:
+        raise ValueError(f"sech transforms cover odd dimensions 1 <= n <= 15, got n = {n}")
+    return _corollary(_expr.parse("sech(pi*s)"), n)
 
 
 def heat_profile(n, t):
     """Expression for the heat kernel (4 pi t)^(-n/2) exp(-s^2 / 4t), t > 0."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if t <= 0:
-        raise ValueError("heat needs t > 0")
+    if not 0 < t < math.inf:  # written so that NaN fails it
+        raise ValueError(f"heat time t must be positive and finite, got t = {t}")
     amp = (4.0 * math.pi * t) ** (-n / 2.0)
     return Product(Constant(amp),
                    Apply("exp", Negate(Quotient(IntegerPower(S, 2),

@@ -237,6 +237,35 @@ def test_kernel_out_of_range_is_one_error_line(capsys, family, dim, grid, text):
     assert err.splitlines() == [text]
 
 
+def test_kernel_overflow_names_the_point(capsys):
+    # r^-119 at r = 0.001 overflows Python's complex power
+    code, out, err = run_cli(capsys, "kernel", "--resolvent", "-1", "--dim",
+                             "121", "--grid", "0.001:1:2")
+    assert code == EXIT_ERROR
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "0.001" in line and "overflow" in line
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family, text", [
+    ("--heat=nan", "error: heat time t must be positive and finite, got t = nan"),
+    ("--heat=inf", "error: heat time t must be positive and finite, got t = inf"),
+    ("--projection=nan",
+     "error: projection energy E must be positive and finite, got E = nan"),
+    ("--resolvent=nan", "error: resolvent z must be finite, got z = (nan+0j)"),
+    # only a trailing i is the imaginary unit, so inf parses
+    ("--resolvent=-inf", "error: resolvent z must be finite, got z = (-inf+0j)"),
+    ("--resolvent=infi", "error: resolvent z must be finite, got z = infj"),
+])
+def test_kernel_rejects_non_finite_parameters(capsys, family, text):
+    code, out, err = run_cli(capsys, "kernel", family, "--dim", "3",
+                             "--grid", "1:1:1")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.splitlines() == [text]
+
+
 def test_kernel_projection_p3(capsys):
     code, out, _ = run_cli(capsys, "kernel", "--projection", "1", "--dim", "3",
                            "--grid", "3.14159:3.14159:1")

@@ -123,6 +123,15 @@ def test_domain_errors_name_the_node():
     assert expr.parse("(s-1)^0").eval_array(xs).tolist() == [1.0] * 4
 
 
+def test_scalar_overflow_names_the_point():
+    # Python's complex ** raises on the scalar path; evaluate raises it again
+    # with the point, and eval_array still reads inf
+    e = expr.parse("s^(-200)")
+    with pytest.raises(OverflowError, match=r"overflows at s = 0\.001 "):
+        e.evaluate(0.001)
+    assert np.isinf(e.eval_array(np.array([0.001]))[0])
+
+
 def test_eval_array_matches_scalar():
     e = expr.parse("sech(s) * exp(-s^2) + s^3")
     xs = np.array([0.0, 0.7, 2.0, -1.3])

@@ -241,15 +241,18 @@ def test_sech_generated_dimension_against_transform():
     assert abs(sech5.evaluate(1.0).real - direct) < 1e-7
 
 
-# ---------------------------------------------------------------------------
-# lifted sech entries near the origin: each symbolic lift divides by s^2,
-# so at small r the lifted expression cancels its leading terms
+def test_sech_ceiling():
+    with pytest.raises(ValueError, match=r"odd dimensions 1 <= n <= 15, got n = 17$"):
+        sech_transform_profile(17)
 
-@pytest.mark.xfail(strict=True, reason="the lifted expression cancels at "
-                   "small r: n = 9 reads 74.25 for 80.303 at r = 1e-3, and "
-                   "n = 11 is off by 2.8e-5 relative at r = 0.01")
-@pytest.mark.parametrize("n, r", [(9, 1e-3), (11, 1e-2)])
-def test_sech_transform_profile_near_the_origin(n, r):
+
+def test_sech_top_entry_stays_small():
+    # one sum over D^l sech(pi s); seven nested symbolic lifts of the n = 1
+    # entry build 62,337,612 characters
+    assert len(str(sech_transform_profile(15))) < 400_000
+
+
+def _sech_by_quadrature(n, r):
     # the transform of sech(pi s) by mpmath quadrature of its Hankel form,
     # (2 pi)^(n/2) integral_0^inf sech(pi t) Jt_(n/2-1)(2 pi r t) t^(n-1) dt;
     # radialift's direct transform meets it to 1e-12
@@ -258,8 +261,27 @@ def test_sech_transform_profile_near_the_origin(n, r):
         integrand = lambda t: (mpmath.sech(mpmath.pi * t)
                                * mpmath.besselj(nu, w * t) / (w * t) ** nu
                                * t ** (n - 1))
-        exact = float((2 * mpmath.pi) ** (n / 2)
-                      * mpmath.quad(integrand, mpmath.linspace(0, 40, 21)))
+        return float((2 * mpmath.pi) ** (n / 2)
+                     * mpmath.quad(integrand, mpmath.linspace(0, 40, 21)))
+
+
+@pytest.mark.parametrize("r", [0.2, 1.0])
+def test_sech_top_entry_against_quadrature(r):
+    exact = _sech_by_quadrature(15, r)
+    value = sech_transform_profile(15).evaluate(r).real
+    assert abs(value - exact) <= 5e-12 * abs(exact)
+
+
+# ---------------------------------------------------------------------------
+# sech entries near the origin: the corollary's terms carry s^(l-2k), so at
+# small r the sum cancels its leading terms
+
+@pytest.mark.xfail(strict=True, reason="the corollary sum cancels at small "
+                   "r: n = 9 reads 23.12 for 80.303 at r = 1e-3, and n = 11 "
+                   "is off by 1.9e-4 relative at r = 0.01")
+@pytest.mark.parametrize("n, r", [(9, 1e-3), (11, 1e-2)])
+def test_sech_transform_profile_near_the_origin(n, r):
+    exact = _sech_by_quadrature(n, r)
     value = sech_transform_profile(n).evaluate(r).real
     assert abs(value - exact) <= 1e-9 * abs(exact)
 
@@ -448,6 +470,25 @@ def test_family_profiles_validate_their_parameters():
         heat_profile(0, 1.0)
     with pytest.raises(ValueError):
         sech_transform_profile(2)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_heat_profile_rejects_a_non_finite_time(t):
+    with pytest.raises(ValueError, match=rf"heat time t .*, got t = {t}$"):
+        heat_profile(3, t)
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf])
+def test_projection_profile_rejects_a_non_finite_energy(energy):
+    with pytest.raises(ValueError, match=rf"projection energy E .*, got E = {energy}$"):
+        projection_profile(3, energy)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0), complex(-math.inf, 0),
+                               complex(-1, math.nan), complex(-1, math.inf)])
+def test_resolvent_profile_rejects_a_non_finite_z(z):
+    with pytest.raises(ValueError, match="resolvent z must be finite"):
+        resolvent_profile(3, z)
 
 
 def test_heat_profile_is_the_heat_kernel():
